@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json bench bench-json bench-large bench-online-large bench-throughput bench-crossphase bench-smoke perf-diff tables micro examples clean
+.PHONY: all build test lint lint-json bench bench-json bench-large bench-online-large bench-throughput bench-smoke perf-diff tables micro examples clean
 
 all: build
 
@@ -31,14 +31,13 @@ bench-output:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 # Machine-readable perf snapshot (per-benchmark ns/run + solver round and
-# resume counters + the online scratch-vs-session section + the
-# decomposition speedup section); regenerates BENCH_3.json for the perf
-# trajectory.
+# resume counters + the online session section + the decomposition
+# speedup section); regenerates BENCH_3.json for the perf trajectory.
 bench-json:
 	dune exec bench/main.exe -- micro --json BENCH_3.json
 
-# Large-n scaling rows (dense vs interval-tree-compressed round networks
-# on heavy n=500/1000/2000, m=8 instances); regenerates BENCH_4.json.
+# Large-n scaling rows (dense network vs the compressed sweep oracle on
+# heavy n=500/1000/2000, m=8 instances); regenerates BENCH_4.json.
 bench-large:
 	dune exec bench/main.exe -- large --json BENCH_4.json
 
@@ -53,13 +52,6 @@ bench-online-large:
 # with 75% canonical duplicates); regenerates BENCH_6.json.
 bench-throughput:
 	dune exec bench/main.exe -- throughput --json BENCH_6.json
-
-# Cross-phase flow reuse (persistent drained/rescaled network vs legacy
-# per-phase rebuilds on a multi-phase heavy n=1000, m=8 instance);
-# regenerates BENCH_7.json.  A tiny variant rides the bench-smoke JSON
-# below, so `dune runtest` exercises the same pipeline.
-bench-crossphase:
-	dune exec bench/main.exe -- crossphase --json BENCH_7.json
 
 # Tiny-quota run of the same pipeline (also wired into `dune runtest`).
 bench-smoke:

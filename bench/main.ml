@@ -12,11 +12,6 @@
                                           — streaming vs legacy online
                                             simulation on stream workloads
                                             (n=1e4/1e5/1e6; BENCH_5.json)
-     dune exec bench/main.exe -- crossphase
-                                          — cross-phase flow reuse vs legacy
-                                            per-phase rebuilds on a multi-phase
-                                            heavy n=1000, m=8 instance
-                                            (BENCH_7.json)
      dune exec bench/main.exe -- tables   — tables only
 
    Appending [--json FILE] to the micro/smoke modes additionally writes a
@@ -79,8 +74,8 @@ let micro_tests () =
       Test.make ~name:"bigint/mul-230bit" (Staged.stage (fun () -> Ss_numeric.Bigint.mul big big));
       Test.make ~name:"offline-pushrelabel/n=30"
         (Staged.stage (fun () ->
-             Ss_core.Offline.F.solve ~flow_algorithm:Ss_core.Offline.F.Push_relabel
-               ~machines:4
+             Ss_core.Offline.F.Reference.solve
+               ~flow_algorithm:Ss_core.Offline.F.Reference.Push_relabel ~machines:4
                (Array.map
                   (fun (j : Ss_model.Job.t) ->
                     { Ss_core.Offline.F.release = j.release; deadline = j.deadline; work = j.work })
@@ -111,10 +106,9 @@ let smoke_tests () =
       Test.make ~name:"oa/n=15,m=4" (Staged.stage (fun () -> Ss_online.Oa.run online15));
     ]
 
-(* Offline-solver round/resume counters (and incremental-vs-scratch
-   timings) on the representative micro instances: the part of the JSON
-   report that tracks the solver's algorithmic trajectory, not just wall
-   time. *)
+(* Offline-solver round/resume counters on the representative micro
+   instances: the part of the JSON report that tracks the solver's
+   algorithmic trajectory, not just wall time. *)
 let solver_counters ~smoke =
   let specs =
     if smoke then [ ("offline/n=30,m=4", 2, 4, 30, 50.) ]
@@ -125,22 +119,11 @@ let solver_counters ~smoke =
       let inst =
         Ss_workload.Generators.uniform ~seed ~machines ~jobs ~horizon ~max_work:5. ()
       in
-      let t_scratch =
-        Ss_experiments.Common.time_median (fun () ->
-            ignore (Ss_core.Offline.run ~incremental:false inst))
-      in
-      let t_inc =
-        Ss_experiments.Common.time_median (fun () ->
-            ignore (Ss_core.Offline.run ~incremental:true inst))
-      in
-      let r = Ss_core.Offline.run inst in
-      (name, r.stats, t_scratch, t_inc))
+      (name, (Ss_core.Offline.run inst).stats))
     specs
 
-(* End-to-end OA(m) replanning: the scratch path (fresh solver and full
-   materialization per arrival) against the cross-arrival session path,
-   plus the session's reuse ledger — the numbers behind the perf_opt
-   acceptance criterion. *)
+(* End-to-end OA(m) replanning on the cross-arrival session path: its
+   timing plus the session's reuse ledger. *)
 let online_counters ~smoke =
   let specs =
     if smoke then [ ("oa/n=15,m=4", 4, 15) ]
@@ -156,18 +139,15 @@ let online_counters ~smoke =
          after a warm-up lap; per-run medians at this scale are dominated
          by timer granularity and first-touch noise. *)
       let batch = 5 in
-      let timed incremental =
-        ignore (Ss_online.Oa.run ~incremental inst);
+      let _, info = Ss_online.Oa.run inst in
+      let t_session =
         Ss_experiments.Common.time_median ~repeats:9 (fun () ->
             for _ = 1 to batch do
-              ignore (Ss_online.Oa.run ~incremental inst)
+              ignore (Ss_online.Oa.run inst)
             done)
         /. float_of_int batch
       in
-      let t_scratch = timed false in
-      let t_session = timed true in
-      let _, info = Ss_online.Oa.run ~incremental:true inst in
-      (name, info, t_scratch, t_session))
+      (name, info, t_session))
     specs
 
 (* Decomposition layer on clustered workloads: component counts and
@@ -251,10 +231,11 @@ let online_large_specs =
     ("stream/n=1e6,m=8", 41, 8, 1_000_000, 4., 2., 6., false);
   ]
 
-(* Dense vs interval-tree-compressed round networks on heavy instances
-   (overlapping windows, so the grid has Theta(n) intervals and the dense
-   Fig. 1 network Theta(n k) edges) — timings, edge counts and the
-   flow-work counters behind the PR 6 perf_opt acceptance criterion. *)
+(* Dense network vs the compressed substrate's sweep oracle on heavy
+   instances (overlapping windows, so the grid has Theta(n) intervals and
+   the dense Fig. 1 network Theta(n k) edges) — timings plus the dense
+   network's size and flow-work counters (a compressed solve builds no
+   network). *)
 let compressed_counters specs =
   List.map
     (fun (name, seed, machines, jobs, horizon) ->
@@ -339,50 +320,8 @@ let throughput_counters ~smoke =
       (name, count, stats, t_seq, t_batch, identical))
     specs
 
-(* Parametric cross-phase flow reuse: one persistent network per
-   component, drained of the accepted class's flow and rescaled to the
-   next conjectured speed at every phase boundary, against the legacy
-   per-phase rebuild — timings, the new phase counters, and the full
-   bitwise-identity check (breakpoints, members, speeds, reservations,
-   allocations) behind the PR 9 perf_opt acceptance criterion
-   (BENCH_7.json). *)
-let crossphase_specs ~smoke =
-  if smoke then [ ("heavy/n=120,m=8", 7, 1.1, 8, 120, 60.) ]
-  else [ ("heavy/n=1000,m=8", 7, 1.1, 8, 1000, 500.) ]
-
-let crossphase_counters specs =
-  let same_run (a : Ss_core.Offline.F.run) (b : Ss_core.Offline.F.run) =
-    a.breakpoints = b.breakpoints
-    && List.length a.schedule_phases = List.length b.schedule_phases
-    && List.for_all2
-         (fun (p : Ss_core.Offline.F.phase) (q : Ss_core.Offline.F.phase) ->
-           p.members = q.members && p.speed = q.speed && p.procs = q.procs
-           && p.alloc = q.alloc)
-         a.schedule_phases b.schedule_phases
-  in
-  List.map
-    (fun (name, seed, shape, machines, jobs, horizon) ->
-      let inst =
-        Ss_workload.Generators.heavy ~shape ~seed ~machines ~jobs ~horizon ()
-      in
-      let repeats = if jobs >= 500 then 1 else 3 in
-      let measure cross_phase =
-        let last = ref None in
-        let ms =
-          Ss_experiments.Common.time_median ~repeats (fun () ->
-              last := Some (Ss_core.Offline.run ~cross_phase inst))
-        in
-        match !last with
-        | Some (r : Ss_core.Offline.F.run) -> (r, ms)
-        | None -> assert false
-      in
-      let legacy, t_legacy = measure false in
-      let cross, t_cross = measure true in
-      (name, cross.stats, t_legacy, t_cross, same_run cross legacy))
-    specs
-
 let emit_json ~file ~mode rows counters online decomposition compressed online_engine
-    throughput crossphase =
+    throughput =
   let open Ss_numeric.Json in
   let num x = if Float.is_finite x then Num x else Null in
   let benchmarks =
@@ -394,7 +333,7 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
   let solver =
     Arr
       (List.map
-         (fun (name, (s : Ss_core.Offline.F.stats), t_scratch, t_inc) ->
+         (fun (name, (s : Ss_core.Offline.F.stats)) ->
            Obj
              [
                ("instance", Str name);
@@ -415,16 +354,13 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
                  Arr
                    (Array.to_list
                       (Array.map (fun w -> Num (float_of_int w)) s.phase_bfs_waves)) );
-               ("scratch_ms", num t_scratch);
-               ("incremental_ms", num t_inc);
-               ("speedup", num (t_scratch /. Float.max 1e-9 t_inc));
              ])
          counters)
   in
   let online_section =
     Arr
       (List.map
-         (fun (name, (i : Ss_online.Oa.info), t_scratch, t_session) ->
+         (fun (name, (i : Ss_online.Oa.info), t_session) ->
            Obj
              [
                ("instance", Str name);
@@ -435,9 +371,7 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
                ("carried_jobs", Num (float_of_int i.carried_jobs));
                ("monotone_carried", Num (float_of_int i.monotone_carried));
                ("arena_grows", Num (float_of_int i.arena_grows));
-               ("scratch_ms", num t_scratch);
                ("session_ms", num t_session);
-               ("speedup", num (t_scratch /. Float.max 1e-9 t_session));
              ])
          online)
   in
@@ -468,13 +402,10 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
                ("instance", Str name);
                ("phases", Num (float_of_int d.phases));
                ("rounds", Num (float_of_int d.rounds));
+               ("compressed_rounds", Num (float_of_int c.rounds));
                ("dense_edges", Num (float_of_int d.net_edges));
-               ("compressed_edges", Num (float_of_int c.net_edges));
-               ("edge_ratio", num (float_of_int d.net_edges /. Float.max 1. (float_of_int c.net_edges)));
                ("dense_pushes", Num (float_of_int d.net_pushes));
-               ("compressed_pushes", Num (float_of_int c.net_pushes));
                ("dense_bfs_waves", Num (float_of_int d.net_bfs_waves));
-               ("compressed_bfs_waves", Num (float_of_int c.net_bfs_waves));
                ("dense_ms", num t_dense);
                ("compressed_ms", num t_comp);
                ("speedup", num (t_dense /. Float.max 1e-9 t_comp));
@@ -529,32 +460,6 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
              ])
          throughput)
   in
-  let cross_phase_section =
-    Arr
-      (List.map
-         (fun (name, (s : Ss_core.Offline.F.stats), t_legacy, t_cross, identical) ->
-           Obj
-             [
-               ("instance", Str name);
-               ("phases", Num (float_of_int s.phases));
-               ("phase_resumes", Num (float_of_int s.phase_resumes));
-               ("phase_drain_edges", Num (float_of_int s.phase_drain_edges));
-               ("peak_edges", Num (float_of_int s.net_edges));
-               ( "phase_edges",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun e -> Num (float_of_int e)) s.phase_edges)) );
-               ( "phase_bfs_waves",
-                 Arr
-                   (Array.to_list
-                      (Array.map (fun w -> Num (float_of_int w)) s.phase_bfs_waves)) );
-               ("legacy_ms", num t_legacy);
-               ("cross_ms", num t_cross);
-               ("speedup", num (t_legacy /. Float.max 1e-9 t_cross));
-               ("bit_identical", Bool identical);
-             ])
-         crossphase)
-  in
   let doc =
     Obj
       [
@@ -567,7 +472,6 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
         ("compressed", compressed_section);
         ("online_engine", online_engine_section);
         ("throughput", throughput_section);
-        ("cross_phase", cross_phase_section);
       ]
   in
   Out_channel.with_open_text file (fun oc ->
@@ -625,14 +529,13 @@ let run_micro ?json_file ?(smoke = false) () =
       (compressed_counters (compressed_specs ~smoke))
       (online_engine_counters (online_engine_specs ~smoke))
       (throughput_counters ~smoke)
-      (crossphase_counters (crossphase_specs ~smoke:true))
 
 (* `main.exe large [--json BENCH_4.json]`: the end-to-end scaling table for
-   interval-tree compression (dense vs compressed round networks on the
+   the compressed substrate (dense network vs sweep oracle on the
    n=500/1000/2000 heavy rows).  Each timing also lands in the
    [benchmarks] section so perf_diff can gate BENCH_4-to-BENCH_4 drift. *)
 let run_large ?json_file () =
-  print_endline "== large-n offline solves: dense vs compressed round networks ==";
+  print_endline "== large-n offline solves: dense network vs compressed sweep oracle ==";
   let counters = compressed_counters large_specs in
   let printable =
     List.map
@@ -641,7 +544,7 @@ let run_large ?json_file () =
         [
           name;
           string_of_int d.net_edges;
-          string_of_int c.net_edges;
+          string_of_int c.rounds;
           Printf.sprintf "%.1f ms" t_dense;
           Printf.sprintf "%.1f ms" t_comp;
           Printf.sprintf "%.2fx" (t_dense /. Float.max 1e-9 t_comp);
@@ -650,7 +553,7 @@ let run_large ?json_file () =
   in
   Ss_numeric.Table.print
     (Ss_numeric.Table.make ~title:""
-       ~headers:[ "instance"; "dense edges"; "compressed edges"; "dense"; "compressed"; "speedup" ]
+       ~headers:[ "instance"; "dense edges"; "compressed rounds"; "dense"; "compressed"; "speedup" ]
        printable);
   print_newline ();
   match json_file with
@@ -665,7 +568,7 @@ let run_large ?json_file () =
           ])
         counters
     in
-    emit_json ~file ~mode:"large" rows [] [] [] counters [] [] []
+    emit_json ~file ~mode:"large" rows [] [] [] counters [] []
 
 (* `main.exe online-large [--json BENCH_5.json]`: the end-to-end scaling
    table for the streaming event loop (calendar + incremental active set +
@@ -716,7 +619,7 @@ let run_online_large ?json_file () =
           | None -> []))
         counters
     in
-    emit_json ~file ~mode:"online-large" rows [] [] [] [] counters [] []
+    emit_json ~file ~mode:"online-large" rows [] [] [] [] counters []
 
 (* `main.exe throughput [--json BENCH_6.json]`: batch-dispatch throughput
    against sequential per-query scratch solves on a ≥500-query clustered
@@ -763,56 +666,11 @@ let run_throughput ?json_file ?(smoke = false) () =
           ])
         counters
     in
-    emit_json ~file ~mode:"throughput" rows [] [] [] [] [] counters []
-
-(* `main.exe crossphase [--json BENCH_7.json]`: parametric cross-phase
-   flow reuse against the legacy per-phase rebuild on a multi-phase heavy
-   n=1000, m=8 instance.  Both timings also land in [benchmarks] so
-   perf_diff can gate BENCH_7-to-BENCH_7 drift. *)
-let run_crossphase ?json_file ?(smoke = false) () =
-  print_endline "== cross-phase flow reuse: persistent network vs per-phase rebuilds ==";
-  let counters = crossphase_counters (crossphase_specs ~smoke) in
-  let printable =
-    List.map
-      (fun (name, (s : Ss_core.Offline.F.stats), t_legacy, t_cross, identical) ->
-        [
-          name;
-          string_of_int s.phases;
-          string_of_int s.phase_resumes;
-          string_of_int s.phase_drain_edges;
-          Printf.sprintf "%.1f ms" t_legacy;
-          Printf.sprintf "%.1f ms" t_cross;
-          Printf.sprintf "%.2fx" (t_legacy /. Float.max 1e-9 t_cross);
-          (if identical then "yes" else "NO");
-        ])
-      counters
-  in
-  Ss_numeric.Table.print
-    (Ss_numeric.Table.make ~title:""
-       ~headers:
-         [
-           "instance"; "phases"; "resumes"; "drained edges"; "legacy"; "cross-phase";
-           "speedup"; "bit-identical";
-         ]
-       printable);
-  print_newline ();
-  match json_file with
-  | None -> ()
-  | Some file ->
-    let rows =
-      List.concat_map
-        (fun (name, _, t_legacy, t_cross, _) ->
-          [
-            ("offline-legacy/" ^ name, t_legacy *. 1e6);
-            ("offline-crossphase/" ^ name, t_cross *. 1e6);
-          ])
-        counters
-    in
-    emit_json ~file ~mode:"crossphase" rows [] [] [] [] [] [] counters
+    emit_json ~file ~mode:"throughput" rows [] [] [] [] [] counters
 
 let usage () =
   Printf.printf
-    "usage: main.exe [tables | micro | smoke | large | online-large | throughput | crossphase | <experiment id>] [--json FILE]\n";
+    "usage: main.exe [tables | micro | smoke | large | online-large | throughput | <experiment id>] [--json FILE]\n";
   Printf.printf "experiment ids: %s\n" (String.concat " " (Ss_experiments.Registry.ids ()))
 
 let () =
@@ -835,7 +693,6 @@ let () =
   | [ "large" ] -> run_large ?json_file ()
   | [ "online-large" ] -> run_online_large ?json_file ()
   | [ "throughput" ] -> run_throughput ?json_file ()
-  | [ "crossphase" ] -> run_crossphase ?json_file ()
   | [ id ] ->
     if not (Ss_experiments.Registry.run_one (String.lowercase_ascii id)) then begin
       Printf.printf "unknown experiment id: %s\n" id;

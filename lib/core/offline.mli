@@ -13,7 +13,7 @@ module MakeWith
     (_ : module type of Ss_flow.Maxflow.Make (F)) : sig
   module Flow : module type of Ss_flow.Maxflow.Make (F)
   (** The flow substrate this instantiation runs on; exposed so tests can
-      audit the warm-started flows via [on_flow]. *)
+      audit the persistent network via [on_phase]. *)
 
   type job = { release : F.t; deadline : F.t; work : F.t }
 
@@ -30,29 +30,25 @@ module MakeWith
     phases : int;
     rounds : int;  (** max-flow computations performed *)
     resumes : int;
-        (** rounds answered without rebuilding the network: a warm-started
-            repair-and-resume ([solve]'s incremental path) or an in-place
-            rewind of the arena ({!Session} solves).  0 when
-            [incremental:false] or with the push-relabel backend, which
-            cannot resume a feasible flow. *)
+        (** failed rounds answered by an in-place rewind of the dense
+            network instead of a rebuild; 0 on compressed solves and in
+            {!Reference} runs *)
     removals : int;  (** Lemma 4 job removals *)
     grouped : int;
         (** failed rounds that removed more than one certified victim at
-            once (always 0 outside {!Session} solves) *)
+            once (always 0 in {!Reference} runs) *)
     net_edges : int;
-        (** peak forward-edge count over all round networks of the solve
-            (max across components when decomposed) — the O(n k) vs
-            O((n + k) log k) size win of [compress], machine-readable *)
+        (** peak forward-edge count of the round network (max across
+            components when decomposed) *)
     net_pushes : int;
-        (** total edge-flow updates (augmentations and repair
-            cancellations) across the solve's max-flow work *)
+        (** total edge-flow updates across the solve's max-flow work *)
     net_bfs_waves : int;
         (** total BFS passes (Dinic level builds / Edmonds–Karp path
             searches) across the solve's max-flow work *)
     phase_resumes : int;
-        (** phase boundaries answered by the parametric drain / rescale /
-            resume instead of a network rebuild (see [cross_phase]); 0 in
-            legacy mode and on single-phase solves *)
+        (** phase boundaries answered by draining and rewinding the
+            persistent network instead of a rebuild; 0 on single-phase
+            solves and in {!Reference} runs *)
     phase_drain_edges : int;
         (** flow-carrying forward edges drained across those boundaries —
             the accepted jobs' flow support, counted before each drain *)
@@ -70,14 +66,6 @@ module MakeWith
     stats : stats;
   }
 
-  type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
-  (** Which max-flow routine answers the per-round feasibility question
-      (identical answers; ablation experiment A4 compares speed). *)
-
-  type victim_rule = Least_flow | First_found
-  (** Which provably-removable job a failed round discards; Lemma 4 makes
-      any unsaturated choice sound (ablation experiment A5). *)
-
   exception Stranded_job of int
 
   val components : job array -> int array list
@@ -89,30 +77,26 @@ module MakeWith
 
   val compress_threshold : int
   (** Dense edge-table size ([n * k]) above which a solve defaults to the
-      compressed round network. *)
+      compressed substrate. *)
 
   val solve :
-    ?flow_algorithm:flow_algorithm ->
-    ?victim_rule:victim_rule ->
-    ?incremental:bool ->
     ?decompose:bool ->
     ?compress:bool ->
-    ?cross_phase:bool ->
     ?parallel:bool ->
-    ?on_flow:(Flow.t -> unit) ->
     ?on_phase:(int -> F.t -> Flow.t -> unit) ->
     machines:int ->
     job array ->
     run
-  (** [incremental] (default [true]) builds the Fig. 1 network once per
-      phase and answers each failed round by repairing the installed flow
-      (drain the Lemma 4 victim, shrink the affected capacities, resume
-      Dinic) instead of rebuilding and recomputing from zero.  Both paths
-      produce identical phase partitions, speeds, reservations and energy;
-      only the round-internal flow distributions (and hence victim order
-      and round counts) may differ.  [on_flow] is invoked with the network
-      after every round's max-flow answer — a test hook for auditing the
-      warm-started flows.
+  (** The round loop (Fig. 2), one for every solve.  A phase conjectures
+      that all remaining jobs form the next class; a failed round removes
+      {e every} job its maximum flow certifies (Lemma 4) at once.  The
+      accepted class is the unique fixed point of certified removals, so
+      the phases, speeds, reservations and energy equal {!Reference}'s;
+      only the round and removal counters differ.  On the dense substrate
+      one Fig. 1 network serves the whole solve: failed rounds and phase
+      boundaries rewind it in place (dead edges keep capacity 0) and rerun
+      Dinic from zero, so the accepted flows, and with them the [t_kj],
+      are bit-identical to {!Reference}'s rebuilt networks.
 
       [decompose] (default [true]) first splits the instance at
       zero-coverage grid points (see {!components}), solves the
@@ -127,58 +111,67 @@ module MakeWith
       because the global round loop conjectures blended speeds across
       components.  [parallel] forces component dispatch over
       [Ss_parallel.Pool] domains on or off (default: on when there are
-      ≥ 2 components, the instance is non-trivial and no [on_flow] hook is
-      installed); results are deterministic either way.
+      ≥ 2 components, the instance is non-trivial and no [on_phase] hook
+      is installed); results are deterministic either way.
 
       [compress] (default: on iff [n * k >= compress_threshold], decided
-      per component) swaps each round's network for an interval-tree
-      compressed one with O((n + k) log k) edges instead of O(n k), and
-      answers the accept test and Lemma 4 victim certificates from an
-      exact oracle — an earliest-deadline sweep finished by blocking
-      flows on the implicit dense residual — that computes a maximum
-      flow of the dense network without building it.  Phase partitions,
-      speeds, reservations, busy times and energies are bit-identical to
-      the dense path; round counts may differ because victim order may,
-      and the [t_kj] split among a phase's equal-speed members may
-      differ (the oracle's and Dinic's flows are different maximum flows
-      of the same accepting network — every member's total is its demand
-      either way).  See DESIGN.md, "Interval-tree network compression".
-
-      [cross_phase] (default: on except in [incremental:false] runs and
-      under an [on_flow] hook) carries one flow arena across the whole
-      solve instead of rebuilding the network at every phase: an accepted
-      phase's flow is drained (it is supported entirely on the accepted
-      members), the surviving source capacities are rescaled from the old
-      speed to the next conjecture — the phase speeds strictly decrease,
-      so every [w/s] only grows and the monotone parametric invariant
-      keeps the installed flow feasible — and Dinic resumes over the warm
-      topology.  Outputs are bit-identical to the legacy per-phase
-      rebuilds on both the dense and compressed substrates; the work
-      saved is auditable through [stats.phase_resumes] /
-      [stats.phase_drain_edges] / [stats.phase_bfs_waves].  See
-      DESIGN.md, "Parametric cross-phase reuse".
+      per component) builds no network at all: an exact oracle — an
+      earliest-deadline sweep finished by blocking flows on the implicit
+      dense residual — computes a maximum flow of the dense network
+      without materializing its O(n k) edges, and answers every accept
+      test, every Lemma 4 certificate and the accepted [t_kj].  Phase
+      partitions, speeds, reservations, busy times and energies are
+      bit-identical to the dense path; the [t_kj] split among a phase's
+      equal-speed members may differ (the oracle's and Dinic's flows are
+      different maximum flows of the same accepting network — every
+      member's total is its demand either way).  The flow counters
+      ([net_edges], [net_pushes], [net_bfs_waves], [phase_resumes],
+      [phase_drain_edges] and the [phase_*] arrays' entries) read 0 on
+      compressed solves.  See DESIGN.md, "Compressed solves: the sweep
+      oracle".
 
       [on_phase phase_idx speed g] fires once per phase (1-based index,
       the phase's initial conjectured speed) right after the phase's
-      starting flow is installed — after the cross-phase
-      drain/rescale/resume at a phase boundary — a test hook for
-      auditing the persistent flow's feasibility.
+      starting flow is installed — after the drain and rewind at a phase
+      boundary — a test hook for auditing the persistent network's flow
+      (an empty network on compressed solves).
       @raise Invalid_argument on malformed jobs.
       @raise Stranded_job only on internal failure (valid instances are
       always schedulable). *)
 
+  (** The paper-literal reference solver: every round rebuilds the dense
+      Fig. 1 network for the current candidates, computes a maximum flow
+      from zero and removes a single Lemma 4 victim.  The agreement tests
+      hold {!solve} to it; experiments A4 and A5 run its ablation knobs.
+      No decomposition, no compression, no reuse. *)
+  module Reference : sig
+    type flow_algorithm = Dinic | Edmonds_karp | Push_relabel
+    (** Which max-flow routine answers the per-round feasibility question
+        (identical answers; ablation experiment A4 compares speed). *)
+
+    type victim_rule = Least_flow | First_found
+    (** Which provably-removable job a failed round discards; Lemma 4
+        makes any unsaturated choice sound (ablation experiment A5). *)
+
+    val solve :
+      ?flow_algorithm:flow_algorithm ->
+      ?victim_rule:victim_rule ->
+      machines:int ->
+      job array ->
+      run
+    (** Defaults: [Dinic], [Least_flow].  With [Dinic], the run equals
+        [solve ~decompose:false ~compress:false] in every phase, speed,
+        reservation and allocation, bit for bit.
+        @raise Invalid_argument on malformed jobs. *)
+  end
+
   (** Cross-arrival solver sessions (Section 3.1, Lemmas 6–9).
 
       A session owns a persistent flow arena, breakpoint-grid scratch and
-      reservation arrays, reused and repaired across successive solves —
-      the natural shape for OA(m) replanning, which re-solves a slightly
-      different instance at every arrival.  Session solves run the round
-      loop with {e grouped} Lemma 4 removals: every job certified by a
-      failed round's maximum flow is removed at once, cutting the round
-      count without changing the accepted speed classes (the phase
-      partition is the unique fixed point of certified removals, so the
-      returned runs are identical to {!solve}'s up to round/resume
-      counters).
+      reservation arrays, reused across successive solves — the natural
+      shape for OA(m) replanning, which re-solves a slightly different
+      instance at every arrival.  Session solves run {!solve}'s round loop
+      and return identical runs.
 
       The Lemma 6–9 monotonicity across OA replans is tracked as a ledger:
       tag jobs with stable [keys] and the session counts how many carried
@@ -211,7 +204,6 @@ module MakeWith
       ?keys:int array ->
       ?decompose:bool ->
       ?compress:bool ->
-      ?cross_phase:bool ->
       ?parallel:bool ->
       t ->
       job array ->
@@ -266,7 +258,8 @@ type info = {
   resumes : int;
   removals : int;
   phase_resumes : int;
-      (** phase boundaries answered by the cross-phase drain/rescale/resume *)
+      (** dense phase boundaries answered by draining and rewinding the
+          persistent network *)
   speeds : float array;
 }
 
@@ -275,10 +268,8 @@ val component_count : Ss_model.Job.instance -> int
     instance into (1 = nothing to gain from decomposition). *)
 
 val solve :
-  ?incremental:bool ->
   ?decompose:bool ->
   ?compress:bool ->
-  ?cross_phase:bool ->
   ?parallel:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
@@ -292,10 +283,8 @@ val optimal_schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val optimal_energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
 
 val run :
-  ?incremental:bool ->
   ?decompose:bool ->
   ?compress:bool ->
-  ?cross_phase:bool ->
   ?parallel:bool ->
   Ss_model.Job.instance ->
   F.run
@@ -315,10 +304,5 @@ val slice_of_run :
     the hot path of online replanning, where each plan is only followed
     until the next arrival. *)
 
-val solve_exact :
-  ?incremental:bool ->
-  ?compress:bool ->
-  ?cross_phase:bool ->
-  Ss_model.Job.instance ->
-  Exact.run
+val solve_exact : ?compress:bool -> Ss_model.Job.instance -> Exact.run
 (** Exact-rational replay of the entire algorithm (floats embed exactly). *)

@@ -4,7 +4,10 @@
    three independent implementations in the repository (Dinic, Edmonds-
    Karp, FIFO push-relabel with gap heuristic) as the engine of the
    Theorem 1 algorithm.  All three must produce identical energies (the
-   feasibility answers coincide); only the runtime differs. *)
+   feasibility answers coincide); only the runtime differs.  It runs on
+   the paper-literal reference solver ([Offline.F.Reference]), which
+   rebuilds the network and recomputes the flow from zero every round, so
+   each backend does the whole max-flow work. *)
 
 module Table = Ss_numeric.Table
 module Power = Ss_model.Power
@@ -17,7 +20,7 @@ let run_with algo inst =
         { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
       inst.Ss_model.Job.jobs
   in
-  Offline.F.solve ~flow_algorithm:algo ~machines:inst.Ss_model.Job.machines jobs
+  Offline.F.Reference.solve ~flow_algorithm:algo ~machines:inst.Ss_model.Job.machines jobs
 
 let run () =
   let power = Power.cube in
@@ -33,9 +36,9 @@ let run () =
           let ms = Common.time_median (fun () -> result := Some (run_with algo inst)) in
           (Option.get !result, ms)
         in
-        let rd, td = time Offline.F.Dinic in
-        let re, te = time Offline.F.Edmonds_karp in
-        let rp, tp = time Offline.F.Push_relabel in
+        let rd, td = time Offline.F.Reference.Dinic in
+        let re, te = time Offline.F.Reference.Edmonds_karp in
+        let rp, tp = time Offline.F.Reference.Push_relabel in
         let energy r = Offline.energy_of_run power r in
         let agree =
           Float.abs (energy rd -. energy re) <= 1e-6 *. energy rd

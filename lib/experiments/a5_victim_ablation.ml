@@ -4,7 +4,10 @@
    unsaturated interval may be removed (the Lemma 4 proof never uses which
    one).  This table compares two rules — the least-filled edge vs. the
    first found — on round counts and runtime.  The computed optimum must
-   be identical either way (it is unique in energy). *)
+   be identical either way (it is unique in energy).  It runs on the
+   paper-literal reference solver ([Offline.F.Reference]), which removes
+   one victim per failed round; the production loop removes every
+   certified victim at once. *)
 
 module Table = Ss_numeric.Table
 module Power = Ss_model.Power
@@ -17,7 +20,7 @@ let run_with rule inst =
         { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
       inst.Ss_model.Job.jobs
   in
-  Offline.F.solve ~victim_rule:rule ~machines:inst.Ss_model.Job.machines jobs
+  Offline.F.Reference.solve ~victim_rule:rule ~machines:inst.Ss_model.Job.machines jobs
 
 let run () =
   let power = Power.cube in
@@ -28,8 +31,8 @@ let run () =
           Ss_workload.Generators.uniform ~seed:(n * 29) ~machines:4 ~jobs:n
             ~horizon:(float_of_int (2 * n)) ~max_work:5. ()
         in
-        let rl = run_with Offline.F.Least_flow inst in
-        let rf = run_with Offline.F.First_found inst in
+        let rl = run_with Offline.F.Reference.Least_flow inst in
+        let rf = run_with Offline.F.Reference.First_found inst in
         let agree =
           Float.abs (Offline.energy_of_run power rl -. Offline.energy_of_run power rf)
           <= 1e-6 *. Offline.energy_of_run power rl

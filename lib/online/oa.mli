@@ -16,13 +16,11 @@ type info = {
   replans : int;
   total_rounds : int;  (** max-flow computations across all replans *)
   resumes : int;
-      (** rounds answered by in-place arena rewinds instead of network
-          rebuilds (session path only) *)
+      (** failed rounds answered by in-place arena rewinds instead of
+          network rebuilds *)
   grouped_rounds : int;
-      (** failed rounds that cleared more than one Lemma 4 victim at once
-          (session path only) *)
-  carried_jobs : int;
-      (** live jobs carried over from an earlier replan (session path) *)
+      (** failed rounds that cleared more than one Lemma 4 victim at once *)
+  carried_jobs : int;  (** live jobs carried over from an earlier replan *)
   monotone_carried : int;
       (** carried jobs whose planned speed never decreased — Lemma 7
           predicts [monotone_carried = carried_jobs] *)
@@ -31,7 +29,6 @@ type info = {
 
 val run_detailed :
   ?tol:float ->
-  ?incremental:bool ->
   ?streaming:bool ->
   ?stats:Engine.counters ->
   ?decompose:bool ->
@@ -39,26 +36,24 @@ val run_detailed :
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info * plan list
 (** Full simulation plus the replanning history (consumed by the
-    Lemma 7/8 checks and the {!Potential} audit).  [incremental] (default
-    [true]) replans on a cross-arrival solver session — one persistent
-    flow arena and workspace, grouped Lemma 4 removals, slice-only
-    materialization; [false] replays the scratch path (a fresh solver per
-    arrival).  Both produce identical schedules and plans.  [streaming]
+    Lemma 7/8 checks and the {!Potential} audit).  Replans run on one
+    cross-arrival solver session ({!Ss_core.Offline.MakeWith.Session}) —
+    one persistent flow arena and workspace — and materialize only the
+    followed slice of each plan.  [streaming]
     (default [true]) drives the simulation on the streaming engine
     ({!Engine.replan_fold}'s calendar + incremental live set); [false]
     replays the legacy O(n)-per-event rescan — schedules are bit-identical
-    either way, and the flag is independent of [incremental] (it selects
-    the simulation loop, not the planner).  [stats] accumulates
+    either way (the flag selects the simulation loop, not the planner).
+    [stats] accumulates
     {!Engine.counters} in place.  [decompose] is forwarded to the offline
     solver's decomposition layer; replanning sub-instances share one
     release time, hence form a single component, so it never changes
-    results here.  [compress] is forwarded to the solver's interval-tree
-    network compression (default: size-triggered per replan); plans and
-    schedules are identical either way. *)
+    results here.  [compress] is forwarded to the solver's compressed
+    substrate (default: size-triggered per replan); plans and schedules
+    are identical either way. *)
 
 val run :
   ?tol:float ->
-  ?incremental:bool ->
   ?streaming:bool ->
   ?stats:Engine.counters ->
   ?decompose:bool ->
@@ -69,7 +64,6 @@ val run :
 
 val schedule :
   ?tol:float ->
-  ?incremental:bool ->
   ?streaming:bool ->
   ?decompose:bool ->
   ?compress:bool ->
@@ -78,7 +72,6 @@ val schedule :
 
 val energy :
   ?tol:float ->
-  ?incremental:bool ->
   ?streaming:bool ->
   ?decompose:bool ->
   ?compress:bool ->

@@ -10,8 +10,8 @@
     and carry absolute interior times that make the shift inexact).  The
     dispatcher
     solves the canonical instance on the executing worker's persistent
-    {!Ss_core.Offline.F.Session} (so flow arenas and warm-start state
-    survive across queries, not just across rounds of one solve) and maps
+    {!Ss_core.Offline.F.Session} (so flow arenas and workspaces survive
+    across queries, not just across rounds of one solve) and maps
     the answer back through the inverse transform.  An LRU keyed by the
     canonical digest short-circuits repeated canonical forms entirely.
 

@@ -1,11 +1,11 @@
 (* Cross-arrival solver sessions: agreement and ledger tests.
 
-   The session OA path (a persistent Offline.F.Session plus slice-only
-   materialization) is engineered to be *bit-identical* to the scratch
-   path (a fresh solver and a full materialization per arrival): grouped
-   Lemma 4 removals and in-place rewinds reach the same phase partition
-   (the unique fixed point), the accepted flows are canonical, and
-   [slice_of_run] replicates the segment order of clip-after-materialize.
+   OA replans on a persistent Offline.F.Session and materializes only the
+   followed slice of each plan.  That is engineered to be *bit-identical*
+   to a replay with a fresh solver and a full, clipped materialization per
+   arrival (test/oa_scratch.ml): workspace reuse never leaks state between
+   solves, and [slice_of_run] replicates the segment order of
+   clip-after-materialize — which the replay checks at every replan.
    These tests pin all of that down, plus the Lemma 7 speed ledger. *)
 
 module Job = Ss_model.Job
@@ -34,8 +34,9 @@ let traces =
 let test_session_matches_scratch () =
   List.iter
     (fun (name, inst) ->
-      let s_inc, _, plans_inc = Oa.run_detailed ~incremental:true inst in
-      let s_scr, _, plans_scr = Oa.run_detailed ~incremental:false inst in
+      let s_inc, _, plans_inc = Oa.run_detailed inst in
+      let s_scr, plans_scr, mismatches = Oa_scratch.run_detailed inst in
+      check_int (name ^ ": every replan's slice == clipped schedule_of_run") 0 mismatches;
       check_bool
         (name ^ ": schedules bit-identical")
         true
@@ -51,9 +52,9 @@ let prop_session_matches_scratch =
         G.uniform ~seed:((salt * 7919) + 13) ~machines ~jobs:(6 + (salt mod 18))
           ~horizon:16. ~max_work:4. ()
       in
-      let s_inc, _ = Oa.run ~incremental:true inst in
-      let s_scr, _ = Oa.run ~incremental:false inst in
-      Schedule.segments s_inc = Schedule.segments s_scr)
+      let s_inc, _ = Oa.run inst in
+      let s_scr, _, mismatches = Oa_scratch.run_detailed inst in
+      mismatches = 0 && Schedule.segments s_inc = Schedule.segments s_scr)
 
 (* --- Session.solve == solve, solve after solve ------------------------- *)
 
@@ -130,7 +131,7 @@ let test_slice_equals_clipped_materialization () =
 
 let test_session_ledger () =
   let inst = List.assoc "poisson m=4 n=60" traces in
-  let _, (info : Oa.info), _ = Oa.run_detailed ~incremental:true inst in
+  let _, (info : Oa.info), _ = Oa.run_detailed inst in
   check_bool "some jobs carried across replans" true (info.carried_jobs > 0);
   check_int "Lemma 7: every carried job kept a monotone speed"
     info.carried_jobs info.monotone_carried;
@@ -144,12 +145,6 @@ let test_session_ledger () =
        info.replans)
     true
     (info.arena_grows < info.replans / 2)
-
-let test_scratch_reports_no_session_counters () =
-  let inst = List.assoc "uniform m=3 n=24" traces in
-  let _, (info : Oa.info), _ = Oa.run_detailed ~incremental:false inst in
-  check_int "no carried jobs on the scratch path" 0 info.carried_jobs;
-  check_int "no grouped rounds on the scratch path" 0 info.grouped_rounds
 
 let test_session_create_validates () =
   Alcotest.check_raises "machines = 0 rejected"
@@ -173,8 +168,6 @@ let () =
         [
           Alcotest.test_case "Lemma 7 ledger and counters" `Quick
             test_session_ledger;
-          Alcotest.test_case "scratch path has no session counters" `Quick
-            test_scratch_reports_no_session_counters;
           Alcotest.test_case "create validates machines" `Quick
             test_session_create_validates;
         ] );

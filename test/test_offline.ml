@@ -382,10 +382,23 @@ let prop_stats_polynomial =
       let inst = random_instance (seed + 300) in
       let run = Offline.run inst in
       let n = Array.length inst.jobs in
-      (* One accepting flow per phase plus one per removal. *)
-      run.stats.rounds = run.stats.phases + run.stats.removals
+      (* One accepting flow per phase plus one per failed round; a failed
+         round removes at least one victim, a grouped one at least two. *)
+      let failed = run.stats.rounds - run.stats.phases in
+      let reference =
+        Offline.F.Reference.solve ~machines:inst.machines
+          (Array.map
+             (fun (j : Job.t) ->
+               { Offline.F.release = j.release; deadline = j.deadline; work = j.work })
+             inst.jobs)
+      in
+      failed >= 0
+      && failed + run.stats.grouped <= run.stats.removals
       && run.stats.removals <= n * run.stats.phases
-      && run.stats.phases <= n)
+      && run.stats.phases <= n
+      (* The single-victim reference: one round per phase plus one per
+         removal, exactly. *)
+      && reference.stats.rounds = reference.stats.phases + reference.stats.removals)
 
 let () =
   Alcotest.run "offline"

@@ -110,8 +110,8 @@ let prop_oa_lemma7_speeds_monotone =
     QCheck.small_nat
     (fun seed ->
       let inst = random_instance (seed + 800) in
-      let _, _, plans_session = Oa.run_detailed ~incremental:true inst in
-      let _, _, plans_scratch = Oa.run_detailed ~incremental:false inst in
+      let _, _, plans_session = Oa.run_detailed inst in
+      let _, plans_scratch, _ = Oa_scratch.run_detailed inst in
       per_job_speeds_monotone plans_session && per_job_speeds_monotone plans_scratch)
 
 (* Independent reference for OA at m = 1: replan with YDS at every arrival

@@ -146,7 +146,10 @@ let prop_avr_streaming_bitwise =
       let s2, i2 = Avr.run ~streaming:false inst in
       i1 = i2 && Schedule.segments s1 = Schedule.segments s2)
 
-(* --- Bitwise agreement: OA over the streaming x incremental grid -------- *)
+(* --- Bitwise agreement: OA over the streaming x planner grid ------------ *)
+
+(* Planner paths: Oa's session with slice-only materialization, and the
+   fresh-solver replay with full, clipped materialization. *)
 
 let prop_oa_streaming_bitwise =
   QCheck.Test.make ~count:30 ~name:"OA streaming = legacy across planner paths"
@@ -154,11 +157,12 @@ let prop_oa_streaming_bitwise =
     (fun seed ->
       let inst = instance_of seed in
       let runs =
-        List.map
-          (fun (streaming, incremental) ->
-            let s, _, plans = Oa.run_detailed ~streaming ~incremental inst in
-            (Schedule.segments s, plans))
-          [ (true, true); (true, false); (false, true); (false, false) ]
+        List.concat_map
+          (fun streaming ->
+            let s, _, plans = Oa.run_detailed ~streaming inst in
+            let s', plans', _ = Oa_scratch.run_detailed ~streaming inst in
+            [ (Schedule.segments s, plans); (Schedule.segments s', plans') ])
+          [ true; false ]
       in
       match runs with
       | first :: rest -> List.for_all (fun r -> r = first) rest

@@ -1,7 +1,7 @@
 (* ss_lint: a compiler-libs determinism & data-race lint for this tree.
 
-   Every optimisation layer in this repo (incremental Dinic, decomposition,
-   compression, streaming, the Crew dispatcher, cross-phase reuse) promises
+   Every optimisation layer in this repo (grouped removals on one rewound
+   network, decomposition, compression, streaming, the Crew dispatcher) promises
    bit-identical outputs across substrates, domain counts and cache
    hit/miss paths.  That promise is guarded dynamically by the agreement
    suites and [Flow.audit]; this tool is the static half of the gate.  It
