@@ -41,9 +41,8 @@ bench-json:
 bench-large:
 	dune exec bench/main.exe -- large --json BENCH_4.json
 
-# Large-trace online simulation (streaming calendar/arena event loop vs
-# the legacy per-interval rescan on stream workloads at n=1e4/1e5/1e6);
-# regenerates BENCH_5.json.
+# Large-trace online simulation (AVR(m) on the calendar/arena event loop,
+# stream workloads at n=1e4/1e5/1e6); regenerates BENCH_5.json.
 bench-online-large:
 	dune exec bench/main.exe -- online-large --json BENCH_5.json
 

@@ -9,8 +9,8 @@
      dune exec bench/main.exe -- large    — dense-vs-compressed scaling rows
                                             (n=500/1000/2000; BENCH_4.json)
      dune exec bench/main.exe -- online-large
-                                          — streaming vs legacy online
-                                            simulation on stream workloads
+                                          — online event-loop scaling on
+                                            stream workloads
                                             (n=1e4/1e5/1e6; BENCH_5.json)
      dune exec bench/main.exe -- tables   — tables only
 
@@ -182,53 +182,40 @@ let decomposition_counters ~smoke =
       (name, components, t_undec, t_seq, t_par))
     specs
 
-(* Streaming calendar/active-set/arena event loop against the legacy
-   per-interval rescan, on the stream workload (Poisson arrivals, bounded
-   laxity — the regime where the active set stays small while n grows).
-   Reports wall time, the per-event counters (calendar events consumed,
-   active-set operations, segments emitted) and the arena high-water
-   mark — the numbers behind the PR 7 perf_opt acceptance criterion.
-   [time_legacy = false] skips the legacy run where its O(n·horizon)
-   rescan would dominate the whole bench (the n=1e6 row). *)
+(* The calendar/active-set/arena event loop under AVR(m) on the stream
+   workload (Poisson arrivals, bounded laxity — the regime where the
+   active set stays small while n grows).  Reports wall time, the
+   per-event counters (calendar events consumed, active-set operations,
+   segments emitted) and the arena high-water mark. *)
 let online_engine_counters specs =
   List.map
-    (fun (name, seed, machines, jobs, rate, mean_work, max_laxity, time_legacy) ->
+    (fun (name, seed, machines, jobs, rate, mean_work, max_laxity) ->
       let inst =
         Ss_workload.Generators.stream ~seed ~machines ~jobs ~rate ~mean_work ~max_laxity ()
       in
       let stats = Ss_online.Engine.counters () in
-      ignore (Ss_online.Avr.run ~streaming:true ~stats inst);
+      ignore (Ss_online.Avr.run ~stats inst);
       let repeats = if jobs >= 100_000 then 1 else 3 in
-      let t_streaming =
-        Ss_experiments.Common.time_median ~repeats (fun () ->
-            ignore (Ss_online.Avr.run ~streaming:true inst))
+      let t_ms =
+        Ss_experiments.Common.time_median ~repeats (fun () -> ignore (Ss_online.Avr.run inst))
       in
-      let t_legacy =
-        if time_legacy then
-          Some
-            (Ss_experiments.Common.time_median ~repeats:1 (fun () ->
-                 ignore (Ss_online.Avr.run ~streaming:false inst)))
-        else None
-      in
-      (name, jobs, stats, t_streaming, t_legacy))
+      (name, jobs, stats, t_ms))
     specs
 
 let online_engine_specs ~smoke =
-  if smoke then [ ("stream/n=500,m=4", 31, 4, 500, 4., 2., 6., true) ]
+  if smoke then [ ("stream/n=500,m=4", 31, 4, 500, 4., 2., 6.) ]
   else
     [
-      ("stream/n=2000,m=4", 31, 4, 2000, 4., 2., 6., true);
-      ("stream/n=5000,m=8", 37, 8, 5000, 8., 2., 6., true);
+      ("stream/n=2000,m=4", 31, 4, 2000, 4., 2., 6.);
+      ("stream/n=5000,m=8", 37, 8, 5000, 8., 2., 6.);
     ]
 
-(* The scaling rows behind `make bench-online-large` / BENCH_5.json.  The
-   legacy rescan is Theta(n * horizon); at n=1e6 that is ~1e11 job checks,
-   so the last row times the streaming path only. *)
+(* The scaling rows behind `make bench-online-large` / BENCH_5.json. *)
 let online_large_specs =
   [
-    ("stream/n=1e4,m=8", 41, 8, 10_000, 4., 2., 6., true);
-    ("stream/n=1e5,m=8", 41, 8, 100_000, 4., 2., 6., true);
-    ("stream/n=1e6,m=8", 41, 8, 1_000_000, 4., 2., 6., false);
+    ("stream/n=1e4,m=8", 41, 8, 10_000, 4., 2., 6.);
+    ("stream/n=1e5,m=8", 41, 8, 100_000, 4., 2., 6.);
+    ("stream/n=1e6,m=8", 41, 8, 1_000_000, 4., 2., 6.);
   ]
 
 (* Dense network vs the compressed substrate's sweep oracle on heavy
@@ -415,7 +402,7 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
   let online_engine_section =
     Arr
       (List.map
-         (fun (name, jobs, (c : Ss_online.Engine.counters), t_streaming, t_legacy) ->
+         (fun (name, jobs, (c : Ss_online.Engine.counters), t_ms) ->
            Obj
              [
                ("instance", Str name);
@@ -424,14 +411,8 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
                ("set_ops", Num (float_of_int c.set_ops));
                ("segments", Num (float_of_int c.emitted));
                ("arena_high_water", Num (float_of_int c.arena_high_water));
-               ( "events_per_sec",
-                 num (float_of_int c.events /. Float.max 1e-9 (t_streaming /. 1e3)) );
-               ("streaming_ms", num t_streaming);
-               ("legacy_ms", match t_legacy with Some t -> num t | None -> Null);
-               ( "speedup",
-                 match t_legacy with
-                 | Some t -> num (t /. Float.max 1e-9 t_streaming)
-                 | None -> Null );
+               ("events_per_sec", num (float_of_int c.events /. Float.max 1e-9 (t_ms /. 1e3)));
+               ("streaming_ms", num t_ms);
              ])
          online_engine)
   in
@@ -571,53 +552,35 @@ let run_large ?json_file () =
     emit_json ~file ~mode:"large" rows [] [] [] counters [] []
 
 (* `main.exe online-large [--json BENCH_5.json]`: the end-to-end scaling
-   table for the streaming event loop (calendar + incremental active set +
-   arena) against the legacy per-interval rescan, on stream workloads at
-   n = 1e4/1e5/1e6.  Streaming timings land in [benchmarks] so perf_diff
-   can gate BENCH_5-to-BENCH_5 drift; the n=1e6 legacy run is skipped
-   (its Theta(n * horizon) rescan would run for hours). *)
+   table for the online event loop (calendar + incremental active set +
+   arena) on stream workloads at n = 1e4/1e5/1e6.  Timings land in
+   [benchmarks] so perf_diff can gate BENCH_5-to-BENCH_5 drift. *)
 let run_online_large ?json_file () =
-  print_endline "== large-n online simulation: streaming event loop vs legacy rescan ==";
+  print_endline "== large-n online simulation: AVR(m) on the event loop ==";
   let counters = online_engine_counters online_large_specs in
   let printable =
     List.map
-      (fun (name, _, (c : Ss_online.Engine.counters), t_streaming, t_legacy) ->
-        let events_per_sec = float_of_int c.events /. Float.max 1e-9 (t_streaming /. 1e3) in
+      (fun (name, _, (c : Ss_online.Engine.counters), t_ms) ->
         [
           name;
           string_of_int c.events;
           string_of_int c.set_ops;
           string_of_int c.emitted;
-          Printf.sprintf "%.2g" events_per_sec;
-          Printf.sprintf "%.1f ms" t_streaming;
-          (match t_legacy with Some t -> Printf.sprintf "%.1f ms" t | None -> "n/a");
-          (match t_legacy with
-          | Some t -> Printf.sprintf "%.1fx" (t /. Float.max 1e-9 t_streaming)
-          | None -> "n/a");
+          Printf.sprintf "%.2g" (float_of_int c.events /. Float.max 1e-9 (t_ms /. 1e3));
+          Printf.sprintf "%.1f ms" t_ms;
         ])
       counters
   in
   Ss_numeric.Table.print
     (Ss_numeric.Table.make ~title:""
-       ~headers:
-         [
-           "instance"; "events"; "set ops"; "segments"; "events/s"; "streaming"; "legacy";
-           "speedup";
-         ]
+       ~headers:[ "instance"; "events"; "set ops"; "segments"; "events/s"; "time" ]
        printable);
   print_newline ();
   match json_file with
   | None -> ()
   | Some file ->
     let rows =
-      List.concat_map
-        (fun (name, _, _, t_streaming, t_legacy) ->
-          ("online-streaming/" ^ name, t_streaming *. 1e6)
-          ::
-          (match t_legacy with
-          | Some t -> [ ("online-legacy/" ^ name, t *. 1e6) ]
-          | None -> []))
-        counters
+      List.map (fun (name, _, _, t_ms) -> ("online-streaming/" ^ name, t_ms *. 1e6)) counters
     in
     emit_json ~file ~mode:"online-large" rows [] [] [] [] counters []
 

@@ -27,7 +27,13 @@ type error =
   | Bad_window of int       (* release >= deadline *)
   | Bad_work of int         (* work <= 0 *)
   | Not_finite of int
+  | Bad_density of int      (* density not a positive normal float *)
+  | Total_overflow of int   (* total density or work leaves the floats here *)
 
+(* The solvers divide by densities and sum work and densities, so a valid
+   instance keeps every density a positive normal float and both totals
+   finite; past those bounds their arithmetic underflows or overflows (a
+   zero density, an infinite speed) long before any answer. *)
 let validate_job i j =
   if
     not
@@ -35,15 +41,30 @@ let validate_job i j =
   then Some (Not_finite i)
   else if j.release >= j.deadline then Some (Bad_window i)
   else if j.work <= 0. then Some (Bad_work i)
-  else None
+  else
+    let d = density j in
+    if d >= Float.min_float && d <= Float.max_float then None else Some (Bad_density i)
 
 let validate inst =
   let errs = ref [] in
   if inst.machines <= 0 then errs := [ No_machines ];
   if Array.length inst.jobs = 0 then errs := Empty_instance :: !errs;
-  Array.iteri
-    (fun i j -> match validate_job i j with Some e -> errs := e :: !errs | None -> ())
-    inst.jobs;
+  (* Sums of positive finite floats are finite or +infinity. *)
+  let total_density = ref 0. and total_work = ref 0. and overflowed = ref false in
+  for i = 0 to Array.length inst.jobs - 1 do
+    let j = inst.jobs.(i) in
+    match validate_job i j with
+    | Some e -> errs := e :: !errs
+    | None ->
+      total_density := !total_density +. density j;
+      total_work := !total_work +. j.work;
+      if (not !overflowed)
+         && (!total_density > Float.max_float || !total_work > Float.max_float)
+      then begin
+        overflowed := true;
+        errs := Total_overflow i :: !errs
+      end
+  done;
   List.rev !errs
 
 let is_valid inst = validate inst = []
@@ -60,6 +81,9 @@ let instance ~machines jobs =
       | Bad_window i -> Printf.sprintf "job %d: release >= deadline" i
       | Bad_work i -> Printf.sprintf "job %d: work <= 0" i
       | Not_finite i -> Printf.sprintf "job %d: non-finite field" i
+      | Bad_density i ->
+        Printf.sprintf "job %d: density work/(deadline - release) is not a normal float" i
+      | Total_overflow i -> Printf.sprintf "job %d: total work or total density overflows" i
     in
     invalid_arg ("Job.instance: " ^ msg)
 

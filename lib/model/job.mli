@@ -28,8 +28,19 @@ type error =
   | Bad_window of int
   | Bad_work of int
   | Not_finite of int
+  | Bad_density of int
+      (** [density] is not a positive normal float: it underflowed to a
+          subnormal or zero, or overflowed to infinity *)
+  | Total_overflow of int
+      (** the running total of work or of densities first becomes
+          non-finite at this job *)
 
 val validate : instance -> error list
+(** Every error of the instance, in job order.  A valid instance has
+    finite fields, [release < deadline], [work > 0], a positive normal
+    density per job, and finite total work and total density — the
+    numeric domain the solvers are defined on. *)
+
 val is_valid : instance -> bool
 
 val instance : machines:int -> t list -> instance

@@ -11,16 +11,13 @@ type outcome = {
 }
 
 val run :
-  ?streaming:bool ->
   ?stats:Engine.counters ->
   ?steps_per_event:int ->
   Ss_model.Job.instance ->
   outcome
-(** [streaming] (default [true]) interns the distinct deadlines once so
-    each speed sample binary-searches its candidate suffix instead of
-    re-sorting the job array, and runs the EDF executor on the arena
-    path; [false] replays the legacy per-sample rebuild.  Outcomes are
-    float-identical either way.
+(** Interns the distinct deadlines once, so each speed sample
+    binary-searches its candidate suffix instead of re-sorting the job
+    array, and executes the speed profile with {!Edf.run}.
     @raise Invalid_argument unless [machines = 1]. *)
 
 val energy : ?steps_per_event:int -> Ss_model.Power.t -> Ss_model.Job.instance -> float

@@ -43,8 +43,7 @@ type info = {
 
 let default_tol = 1e-9
 
-let run_detailed ?(tol = default_tol) ?streaming ?stats ?decompose ?compress
-    (inst : Job.instance) =
+let run_detailed ?(tol = default_tol) ?stats ?compress (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
@@ -58,11 +57,9 @@ let run_detailed ?(tol = default_tol) ?streaming ?stats ?decompose ?compress
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    (* Replanning sub-instances share a single release time ([now]), so
-       they are always one component; [decompose] is passed through for
-       interface consistency (and future lookahead variants whose
-       sub-instances do decompose). *)
-    let run = Offline.F.Session.solve ~keys:ids ?decompose ?compress session sub_jobs in
+    (* Every job of a replanning sub-instance is released at [now], so it
+       is always one component: decomposition has nothing to split. *)
+    let run = Offline.F.Session.solve ~keys:ids ?compress session sub_jobs in
     (* Planned speed of every live job (its class speed). *)
     let job_speeds =
       List.concat_map
@@ -79,7 +76,7 @@ let run_detailed ?(tol = default_tol) ?streaming ?stats ?decompose ?compress
       (fun (s : Schedule.segment) -> { s with job = ids.(s.job) })
       (Offline.slice_of_run ~machines:inst.machines run ~lo:now ~hi:upto)
   in
-  let schedule = Engine.replan_fold ?streaming ?stats ~tol ~plan:planner inst in
+  let schedule = Engine.replan_fold ?stats ~tol ~plan:planner inst in
   let st = Offline.F.Session.stats session in
   let info =
     {
@@ -94,16 +91,15 @@ let run_detailed ?(tol = default_tol) ?streaming ?stats ?decompose ?compress
   in
   (schedule, info, List.rev !plans)
 
-let run ?tol ?streaming ?stats ?decompose ?compress inst =
-  let schedule, info, _ = run_detailed ?tol ?streaming ?stats ?decompose ?compress inst in
+let run ?tol ?stats ?compress inst =
+  let schedule, info, _ = run_detailed ?tol ?stats ?compress inst in
   (schedule, info)
 
-let schedule ?tol ?streaming ?decompose ?compress inst =
-  let s, _, _ = run_detailed ?tol ?streaming ?decompose ?compress inst in
+let schedule ?tol ?compress inst =
+  let s, _, _ = run_detailed ?tol ?compress inst in
   s
 
-let energy ?tol ?streaming ?decompose ?compress power inst =
-  Schedule.energy power (schedule ?tol ?streaming ?decompose ?compress inst)
+let energy ?tol ?compress power inst = Schedule.energy power (schedule ?tol ?compress inst)
 
 (* Theorem 2 guarantee. *)
 let competitive_bound ~alpha =

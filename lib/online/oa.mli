@@ -29,9 +29,7 @@ type info = {
 
 val run_detailed :
   ?tol:float ->
-  ?streaming:bool ->
   ?stats:Engine.counters ->
-  ?decompose:bool ->
   ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info * plan list
@@ -39,24 +37,15 @@ val run_detailed :
     Lemma 7/8 checks and the {!Potential} audit).  Replans run on one
     cross-arrival solver session ({!Ss_core.Offline.MakeWith.Session}) —
     one persistent flow arena and workspace — and materialize only the
-    followed slice of each plan.  [streaming]
-    (default [true]) drives the simulation on the streaming engine
-    ({!Engine.replan_fold}'s calendar + incremental live set); [false]
-    replays the legacy O(n)-per-event rescan — schedules are bit-identical
-    either way (the flag selects the simulation loop, not the planner).
-    [stats] accumulates
-    {!Engine.counters} in place.  [decompose] is forwarded to the offline
-    solver's decomposition layer; replanning sub-instances share one
-    release time, hence form a single component, so it never changes
-    results here.  [compress] is forwarded to the solver's compressed
-    substrate (default: size-triggered per replan); plans and schedules
-    are identical either way. *)
+    followed slice of each plan.  The simulation loop is
+    {!Engine.replan_fold} (calendar + incremental live set).  [stats]
+    accumulates {!Engine.counters} in place.  [compress] is forwarded to
+    the solver's compressed substrate (default: size-triggered per
+    replan); plans and schedules are identical either way. *)
 
 val run :
   ?tol:float ->
-  ?streaming:bool ->
   ?stats:Engine.counters ->
-  ?decompose:bool ->
   ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
@@ -64,16 +53,12 @@ val run :
 
 val schedule :
   ?tol:float ->
-  ?streaming:bool ->
-  ?decompose:bool ->
   ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t
 
 val energy :
   ?tol:float ->
-  ?streaming:bool ->
-  ?decompose:bool ->
   ?compress:bool ->
   Ss_model.Power.t ->
   Ss_model.Job.instance ->

@@ -34,9 +34,7 @@ type audit = {
   energy_opt : float;
 }
 
-val audit : ?streaming:bool -> alpha:float -> Ss_model.Job.instance -> audit
-(** [streaming] selects the simulation loop (calendar/arena by default;
-    see {!Engine.replan_fold}).
-    @raise Invalid_argument when [alpha <= 1]. *)
+val audit : alpha:float -> Ss_model.Job.instance -> audit
+(** @raise Invalid_argument when [alpha <= 1]. *)
 
 val holds : ?tol:float -> audit -> bool

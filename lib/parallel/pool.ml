@@ -1,20 +1,14 @@
 (* Data-parallel map over OCaml 5 domains.
 
-   Two schedulers live here:
-
-   - [map] and friends: the original one-shot scheduler (spawn domains,
-     pull work, join), now claiming *chunks* of the index space instead of
-     single items so tiny work items stop ping-ponging the shared work
-     counter's cacheline between domains.
-
-   - [Crew]: persistent worker domains for batch-solving layers (the
-     dispatch throughput engine).  Workers are spawned once and parked on
-     a condition variable; each batch partitions the index space into
-     per-worker ranges with a private atomic cursor, and a worker that
-     drains its own range steals chunks from the other ranges.  This keeps
-     domain spawn/join cost out of the per-batch path and keeps work
-     balanced when item costs are skewed (e.g. memo-cache hits next to
-     full solves).
+   One scheduler lives here, [run_batch]: each batch partitions the index
+   space into per-worker ranges with a private atomic cursor, and a worker
+   that drains its own range steals chunks from the other ranges, which
+   keeps work balanced when item costs are skewed (e.g. memo-cache hits
+   next to full solves).  It runs in two ways: [Crew], persistent worker
+   domains parked on a condition variable, which keeps domain spawn/join
+   cost out of the per-batch path (the dispatch throughput engine); and
+   [map], one batch on domains spawned for the call (component solves,
+   experiment cells).
 
    Exceptions raised by the worker function are captured and re-raised in
    the caller (first one wins); determinism of results is guaranteed
@@ -26,76 +20,99 @@ let default_domains () =
   max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
 (* Index claims are amortized over blocks of [chunk] items: one
-   fetch-and-add hands out [base, base+chunk).  n/(8*domains) keeps ~8
-   claims per domain — enough slack for load balancing, few enough that
-   the shared counter stays cold when items are tiny. *)
+   fetch-and-add hands out [base, base+chunk).  n/(8*workers) keeps ~8
+   claims per worker — enough slack for load balancing, few enough that
+   the shared cursors stay cold when items are tiny. *)
 let chunk_for ~n ~workers = max 1 (n / (8 * workers))
 
-let map ?domains f arr =
+(* Per-batch work distribution: worker [w] owns the contiguous range
+   [start.(w), hi.(w)) with a private monotonic cursor; claims (own and
+   stolen alike) are a fetch-and-add of [chunk] on the range's cursor,
+   so every index is claimed exactly once whatever the interleaving.
+   This is a monotonic-cursor variant of a work-stealing deque: there
+   is no owner/thief end distinction (and so no ABA or resizing), at
+   the cost of thieves contending with the owner on the same counter —
+   which only happens once a range is nearly drained.
+
+   Two rules keep a descheduled worker from stalling the batch's early
+   items.  Index 0 is reserved for the caller (worker 0), so the caller
+   always evaluates at least one item, however fast the other workers
+   are.  And after each own chunk, a worker steals the first chunk of
+   any range whose cursor has not moved yet: its owner has not started
+   (still waking, or preempted), so its early items — possibly the one
+   that raises and halts the batch — do not wait for every other range
+   to drain. *)
+let run_batch ~workers ~steals f (arr : 'a array) (results : 'b option array)
+    (error : exn option Atomic.t) =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else if n = 1 || domains = Some 1 then
-    (* Inline fast path: a single work item (or an explicitly sequential
-       call) never touches the domain machinery — no spawn, no atomics,
-       not even the recommended-domain-count query.  [f] runs on the
-       calling domain. *)
-    Array.map f arr
-  else begin
-    let wanted = match domains with Some d -> d | None -> default_domains () in
-    let wanted = max 1 (min wanted n) in
-    if wanted = 1 then Array.map f arr
-    else begin
-      let results = Array.make n None in
-      let next = Atomic.make 0 in
-      let error = Atomic.make None in
-      let chunk = chunk_for ~n ~workers:wanted in
-      let worker () =
-        let rec loop () =
-          (* Check for a captured error BEFORE claiming a chunk, and again
-             before each item inside the chunk: once a worker fails, no
-             domain starts another evaluation (it would be wasted work,
-             and with an expensive or effectful [f] the stragglers could
-             outlive the caller's interest). *)
-          if Atomic.get error = None then begin
-            let base = Atomic.fetch_and_add next chunk in
-            if base < n then begin
-              let hi = min n (base + chunk) in
-              (try
-                 for i = base to hi - 1 do
-                   (* ss_lint: allow domain-race — writes land at disjoint indices; claims go through Atomic.fetch_and_add *)
-                   if Atomic.get error = None then results.(i) <- Some (f arr.(i))
-                 done
-               with e -> ignore (Atomic.compare_and_set error None (Some e)));
-              loop ()
-            end
-          end
-        in
-        loop ()
-      in
-      let spawned = List.init (wanted - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join spawned;
-      (match Atomic.get error with Some e -> raise e | None -> ());
-      Array.map
-        (function
-          | Some v -> v
-          | None -> failwith "Pool.map: missing result (worker died)")
-        results
-    end
-  end
+  let start = Array.make workers 0 and hi = Array.make workers 0 in
+  let per = n / workers and extra = n mod workers in
+  let pos = ref 0 in
+  for w = 0 to workers - 1 do
+    let len = per + if w < extra then 1 else 0 in
+    start.(w) <- !pos;
+    hi.(w) <- !pos + len;
+    pos := !pos + len
+  done;
+  (* Range 0 is never empty for n >= 2; its first index is the caller's. *)
+  start.(0) <- 1;
+  let cursors = Array.map Atomic.make start in
+  let chunk = chunk_for ~n ~workers in
+  (* Claim the next chunk of range [v]; [-1] when the range is dry. *)
+  let claim v =
+    if Atomic.get cursors.(v) >= hi.(v) then -1
+    else
+      let base = Atomic.fetch_and_add cursors.(v) chunk in
+      if base < hi.(v) then base else -1
+  in
+  let eval w base stop_ =
+    try
+      for i = base to stop_ - 1 do
+        if Atomic.get error = None then results.(i) <- Some (f w arr.(i))
+      done
+    with e -> ignore (Atomic.compare_and_set error None (Some e))
+  in
+  let steal_from w v =
+    let base = claim v in
+    if base >= 0 then begin
+      Atomic.incr steals;
+      eval w base (min hi.(v) (base + chunk))
+    end;
+    base >= 0
+  in
+  fun w ->
+    if w = 0 then eval 0 0 1;
+    let rescue () =
+      for v = 0 to workers - 1 do
+        if v <> w && Atomic.get cursors.(v) = start.(v) then ignore (steal_from w v)
+      done
+    in
+    (* Own range first, then scan the other ranges for leftovers. *)
+    let rec own () =
+      if Atomic.get error = None then begin
+        let base = claim w in
+        if base >= 0 then begin
+          eval w base (min hi.(w) (base + chunk));
+          rescue ();
+          own ()
+        end
+      end
+    in
+    own ();
+    let rec steal v remaining =
+      if remaining > 0 && Atomic.get error = None then begin
+        let v = if v >= workers then 0 else v in
+        if steal_from w v then steal v remaining else steal (v + 1) (remaining - 1)
+      end
+    in
+    steal ((w + 1) mod workers) (workers - 1)
 
-let mapi ?domains f arr =
-  let indexed = Array.mapi (fun i x -> (i, x)) arr in
-  map ?domains (fun (i, x) -> f i x) indexed
-
-let map_list ?domains f xs = Array.to_list (map ?domains f (Array.of_list xs))
-
-let map_reduce ?domains ~map:f ~reduce ~init arr =
-  Array.fold_left reduce init (map ?domains f arr)
-
-(* Run independent thunks concurrently (for heterogeneous work items). *)
-let all ?domains thunks =
-  map_list ?domains (fun thunk -> thunk ()) thunks
+(* The batch's outcome: the first captured exception, else the results. *)
+let collect error results =
+  (match Atomic.get error with Some e -> raise e | None -> ());
+  Array.map
+    (function Some v -> v | None -> failwith "Pool: missing result (worker died)")
+    results
 
 (* --- persistent worker crews ------------------------------------------- *)
 
@@ -126,70 +143,6 @@ module Crew = struct
     steals : int Atomic.t;            (* lifetime stolen-chunk count *)
     mutable spawned : unit Domain.t list;
   }
-
-  (* Per-batch work distribution: worker [w] owns the contiguous range
-     [lo.(w), hi.(w)) with a private monotonic cursor; claims (own and
-     stolen alike) are a fetch-and-add of [chunk] on the range's cursor,
-     so every index is claimed exactly once whatever the interleaving.
-     This is a monotonic-cursor variant of a work-stealing deque: there
-     is no owner/thief end distinction (and so no ABA or resizing), at
-     the cost of thieves contending with the owner on the same counter —
-     which only happens once a range is nearly drained. *)
-  let run_batch t f (arr : 'a array) (results : 'b option array)
-      (error : exn option Atomic.t) =
-    let n = Array.length arr in
-    let workers = t.size in
-    let cursors = Array.init workers (fun _ -> Atomic.make 0) in
-    let lo = Array.make workers 0 and hi = Array.make workers 0 in
-    let per = n / workers and extra = n mod workers in
-    let pos = ref 0 in
-    for w = 0 to workers - 1 do
-      let len = per + if w < extra then 1 else 0 in
-      lo.(w) <- !pos;
-      hi.(w) <- !pos + len;
-      Atomic.set cursors.(w) !pos;
-      pos := !pos + len
-    done;
-    let chunk = chunk_for ~n ~workers in
-    (* Claim the next chunk of range [v]; [-1] when the range is dry. *)
-    let claim v =
-      if Atomic.get cursors.(v) >= hi.(v) then -1
-      else
-        let base = Atomic.fetch_and_add cursors.(v) chunk in
-        if base < hi.(v) then base else -1
-    in
-    let eval w base stop_ =
-      try
-        for i = base to stop_ - 1 do
-          if Atomic.get error = None then results.(i) <- Some (f w arr.(i))
-        done
-      with e -> ignore (Atomic.compare_and_set error None (Some e))
-    in
-    fun w ->
-      (* Own range first, then scan the other ranges for leftovers. *)
-      let rec own () =
-        if Atomic.get error = None then begin
-          let base = claim w in
-          if base >= 0 then begin
-            eval w base (min hi.(w) (base + chunk));
-            own ()
-          end
-        end
-      in
-      own ();
-      let rec steal v remaining =
-        if remaining > 0 && Atomic.get error = None then begin
-          let v = if v >= workers then 0 else v in
-          let base = claim v in
-          if base >= 0 then begin
-            Atomic.incr t.steals;
-            eval w base (min hi.(v) (base + chunk));
-            steal v remaining
-          end
-          else steal (v + 1) (remaining - 1)
-        end
-      in
-      steal ((w + 1) mod workers) (workers - 1)
 
   let worker_loop t wid () =
     let last_seen = ref 0 in
@@ -249,7 +202,7 @@ module Crew = struct
     else begin
       let results = Array.make n None in
       let error = Atomic.make None in
-      let work = run_batch t f arr results error in
+      let work = run_batch ~workers:t.size ~steals:t.steals f arr results error in
       let b = { work; active = 0; live = true } in
       Mutex.lock t.lock;
       t.epoch <- t.epoch + 1;
@@ -269,12 +222,7 @@ module Crew = struct
       b.live <- false;
       t.batch <- None;
       Mutex.unlock t.lock;
-      (match Atomic.get error with Some e -> raise e | None -> ());
-      Array.map
-        (function
-          | Some v -> v
-          | None -> failwith "Pool.Crew.mapw: missing result (worker died)")
-        results
+      collect error results
     end
 
   let map t f arr = mapw t (fun _ x -> f x) arr
@@ -290,3 +238,24 @@ module Crew = struct
     end
     else Mutex.unlock t.lock
 end
+
+(* One batch of the crew's scheduler on freshly spawned domains that run
+   it and exit — no parking, so no wake-up chain between publishing the
+   batch and its first claims.  Singletons and one-domain calls never touch
+   the domain machinery — no spawn, no atomics, not even the
+   recommended-domain-count query: [f] runs on the calling domain. *)
+let map ?domains f arr =
+  let n = Array.length arr in
+  let workers =
+    if n <= 1 then 1
+    else max 1 (min n (match domains with Some d -> d | None -> default_domains ()))
+  in
+  if workers = 1 then Array.map f arr
+  else begin
+    let results = Array.make n None and error = Atomic.make None in
+    let work = run_batch ~workers ~steals:(Atomic.make 0) (fun _ x -> f x) arr results error in
+    let spawned = List.init (workers - 1) (fun w -> Domain.spawn (fun () -> work (w + 1))) in
+    work 0;
+    List.iter Domain.join spawned;
+    collect error results
+  end

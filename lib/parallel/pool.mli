@@ -1,44 +1,38 @@
-(** Minimal data-parallel map over OCaml 5 domains.  Results are
+(** Data-parallel map over OCaml 5 domains.  Results are
     deterministic (indexed by input position); the first worker exception
     is re-raised in the caller.
 
-    [map] spawns domains per call and hands out work in chunks of
-    [max 1 (n / (8 * domains))] indices per atomic claim, so tiny work
-    items do not ping-pong the shared work counter's cacheline.  {!Crew}
-    keeps long-lived parked worker domains with per-worker ranges and
-    chunked work stealing — the engine under the batch dispatcher. *)
+    One scheduler — per-worker ranges with chunked work stealing — serves
+    every caller: {!Crew} runs it on parked worker domains (the engine
+    under the batch dispatcher), and {!val:map} runs one batch of it on
+    domains spawned for the call. *)
 
 val default_domains : unit -> int
 (** [min 8 (recommended - 1)], at least 1. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Singleton inputs and [~domains:1] run inline on the calling domain —
-    no spawn, no atomics. *)
-
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_reduce :
-  ?domains:int -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** Parallel map, sequential in-order fold. *)
-
-val all : ?domains:int -> (unit -> 'a) list -> 'a list
-(** Run independent thunks concurrently. *)
+(** One batch of {!Crew}'s scheduler on [min domains n] workers (default
+    {!default_domains}): the caller and [workers - 1] domains spawned for
+    the call and joined before returning.  Singleton inputs and
+    [~domains:1] run inline on the calling domain — no spawn, no
+    atomics. *)
 
 (** Persistent worker crew: domains are spawned once at {!Crew.create} and
     parked on a condition variable between batches, so the per-batch cost
     is a broadcast instead of spawn+join.  Each batch splits the index
     space into one contiguous range per worker, claimed chunk-by-chunk
     through a private atomic cursor; a worker that drains its own range
-    steals chunks from the other ranges ({!Crew.steals} counts them).
+    steals chunks from the other ranges, and a range whose owner has not
+    started by the time another worker finishes a chunk has its first
+    chunk stolen ({!Crew.steals} counts both).
     Results land at their input's index, so outputs are deterministic
     whatever the stealing interleaving.  The first worker exception is
     re-raised in the caller only after every in-flight item has drained
     (no worker is left running batch work once the call returns).
 
     A crew is meant to be driven from one thread at a time (the caller
-    participates as worker 0); concurrent [map] calls on one crew are not
-    supported. *)
+    participates as worker 0 and always evaluates at least one item);
+    concurrent [map] calls on one crew are not supported. *)
 module Crew : sig
   type t
 
@@ -54,9 +48,8 @@ module Crew : sig
   (** Lifetime count of stolen chunk claims. *)
 
   val map : t -> ('a -> 'b) -> 'a array -> 'b array
-  (** Like {!val:map} but on the persistent crew.  Empty and singleton
-      inputs, size-1 crews and shut-down crews run inline on the calling
-      domain. *)
+  (** Empty and singleton inputs, size-1 crews and shut-down crews run
+      inline on the calling domain. *)
 
   val mapw : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
   (** [map] exposing the executing worker id ([0 .. size-1]) — at most

@@ -31,6 +31,28 @@ let test_job_validation () =
       ("nan", fun () -> Job.instance ~machines:1 [ j Float.nan 1. 1. ]);
     ]
 
+(* Fields that each pass the per-field checks but leave the solvers'
+   numeric domain: the validator must reject them, naming the job. *)
+let check_rejected name ~machines jobs expected msg =
+  let inst = { Job.jobs = Array.of_list jobs; machines } in
+  check_bool (name ^ ": error") true (Job.validate inst = [ expected ]);
+  Alcotest.check_raises (name ^ ": message") (Invalid_argument ("Job.instance: " ^ msg))
+    (fun () -> ignore (Job.instance ~machines jobs))
+
+let test_density_underflow () =
+  check_rejected "1e-300 work over 1e300" ~machines:1 [ j 0. 1. 1.; j 0. 1e300 1e-300 ]
+    (Job.Bad_density 1)
+    "job 1: density work/(deadline - release) is not a normal float"
+
+let test_density_overflow () =
+  check_rejected "1 work over 1e-320" ~machines:1 [ j 0. 1e-320 1. ] (Job.Bad_density 0)
+    "job 0: density work/(deadline - release) is not a normal float"
+
+let test_total_overflow () =
+  let big = j 0. 1. 1e308 in
+  check_rejected "three 1e308 jobs" ~machines:1 [ big; big; big ] (Job.Total_overflow 1)
+    "job 1: total work or total density overflows"
+
 let test_job_accessors () =
   let job = j 2. 6. 8. in
   checkf "density" 2. (Job.density job);
@@ -296,6 +318,9 @@ let () =
       ( "job",
         [
           Alcotest.test_case "validation" `Quick test_job_validation;
+          Alcotest.test_case "density underflow rejected" `Quick test_density_underflow;
+          Alcotest.test_case "density overflow rejected" `Quick test_density_overflow;
+          Alcotest.test_case "total overflow rejected" `Quick test_total_overflow;
           Alcotest.test_case "accessors" `Quick test_job_accessors;
           Alcotest.test_case "transforms" `Quick test_job_transforms;
         ] );

@@ -11,7 +11,6 @@
 module Job = Ss_model.Job
 module Schedule = Ss_model.Schedule
 module Oa = Ss_online.Oa
-module Engine = Ss_online.Engine
 module G = Ss_workload.Generators
 module O = Ss_core.Offline
 
@@ -123,7 +122,7 @@ let test_slice_equals_clipped_materialization () =
               (Printf.sprintf "%s: slice [%g,%g) == clip" name lo hi)
               true
               (O.slice_of_run ~machines run ~lo ~hi
-              = Engine.clip_segments ~lo ~hi full))
+              = Oa_scratch.clip_segments ~lo ~hi full))
         lo_hi)
     traces
 

@@ -262,18 +262,6 @@ let prop_avr_grid_feasible_nonintegral =
       in
       Schedule.is_feasible inst (fst (Avr.run_on_grid inst)))
 
-(* The streaming calendar/active-set sweep must reproduce the per-interval
-   rescan exactly — same ids in the same ascending order — so the two paths
-   give bitwise-equal schedules and identical peel counts. *)
-let prop_avr_sweep_equals_rescan =
-  QCheck.Test.make ~count:40 ~name:"AVR streaming sweep = per-interval rescan"
-    QCheck.small_nat
-    (fun seed ->
-      let inst = random_instance (seed + 4100) in
-      let s_sweep, i_sweep = Avr.run ~streaming:true inst in
-      let s_scan, i_scan = Avr.run ~streaming:false inst in
-      i_sweep = i_scan && Schedule.segments s_sweep = Schedule.segments s_scan)
-
 let test_avr_bound_values () =
   checkf "bound at 2" 9. (Avr.competitive_bound ~alpha:2.);
   checkf "single bound at 2" 8. (Avr.single_processor_bound ~alpha:2.)
@@ -517,9 +505,8 @@ let () =
             prop_avr_within_bound;
             prop_avr_grid_equals_unit_on_integral;
             prop_avr_grid_feasible_nonintegral;
-            prop_avr_sweep_equals_rescan;
-            prop_theorem3_inequality_chain;
             prop_nonmigratory_feasible;
+            prop_theorem3_inequality_chain;
             prop_nonmig_opt_sandwich;
             prop_bkp_residue_shrinks;
           ] );

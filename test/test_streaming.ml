@@ -1,11 +1,12 @@
-(* Agreement tests for the streaming simulation layer (PR 7).
+(* Agreement tests for the streaming simulation layer.
 
    The streaming engine (event calendar + incremental active set + segment
-   arena) must be an *invisible* optimization: every simulator's
-   [streaming:true] path has to produce bitwise-identical schedules to the
-   legacy per-event rescans it replaces.  These tests pin that contract on
-   the calendar/arena structures directly and on each simulator end to
-   end, plus the metamorphic time-shift property and the stream workload
+   arena) must be an *invisible* optimization: every simulator has to
+   produce bitwise-identical schedules to the legacy per-event rescans it
+   replaced, which live on here (and in oa_scratch.ml) as the simplest
+   oracle of each algorithm.  These tests pin that contract on the
+   calendar/arena structures directly and on each simulator end to end,
+   plus the metamorphic time-shift property and the stream workload
    generator the large-n bench rides on. *)
 
 module Job = Ss_model.Job
@@ -40,6 +41,17 @@ let families = [ uniform_instance; clustered_instance; heavy_instance ]
 
 let instance_of seed = List.nth families (seed mod 3) (seed / 3)
 
+(* test_online's family: 3-10 uniform jobs on 1-4 machines. *)
+let random_instance seed =
+  let rng = Ss_workload.Rng.create ~seed in
+  let machines = 1 + Ss_workload.Rng.int rng ~bound:4 in
+  let n = 3 + Ss_workload.Rng.int rng ~bound:8 in
+  G.uniform ~seed:(seed * 104729) ~machines ~jobs:n ~horizon:14. ~max_work:5. ()
+
+(* Jobs released exactly at [t], ascending by id: a whole-array scan. *)
+let arriving (inst : Job.instance) t =
+  List.filter (fun i -> inst.jobs.(i).Job.release = t) (List.init (Array.length inst.jobs) Fun.id)
+
 (* --- Calendar ----------------------------------------------------------- *)
 
 let test_calendar_buckets_match_arriving () =
@@ -49,7 +61,7 @@ let test_calendar_buckets_match_arriving () =
     let t = Engine.Calendar.time cal e in
     Alcotest.(check (list int))
       (Printf.sprintf "arrivals at event %d" e)
-      (Engine.arriving inst t)
+      (arriving inst t)
       (Engine.Calendar.arrivals_at cal e)
   done;
   (* Every job appears in exactly one arrival bucket and one expiry
@@ -67,20 +79,20 @@ let test_calendar_buckets_match_arriving () =
 
 let test_calendar_distinguishes_float_noise () =
   (* Two releases a ULP-scale wiggle apart are *different* events: the
-     calendar interns exact values, never tolerance-merges.  (The old
-     float-equality rescan in [Engine.arriving] got this right only by
-     accident of scanning with [=]; the calendar keeps the exact-match
-     semantics.) *)
+     calendar interns exact values, never tolerance-merges. *)
   let eps = 1e-9 in
   let inst =
     Job.instance ~machines:1 [ j 0. 4. 1.; j eps 4. 1.; j 1. 5. 2. ]
   in
   let cal = Engine.Calendar.make inst in
-  Alcotest.(check (list int)) "exact 0." [ 0 ] (Engine.arriving inst 0.);
-  Alcotest.(check (list int)) "exact eps" [ 1 ] (Engine.arriving inst eps);
-  check_bool "distinct events" true
-    (Engine.Calendar.find cal 0. <> Engine.Calendar.find cal eps);
-  Alcotest.(check (option int)) "absent time" None (Engine.Calendar.find cal 0.5)
+  let e0 = Engine.Calendar.release_event cal 0 and e1 = Engine.Calendar.release_event cal 1 in
+  check_bool "distinct events" true (e0 <> e1);
+  Alcotest.(check (list int)) "exact 0." [ 0 ] (Engine.Calendar.arrivals_at cal e0);
+  Alcotest.(check (list int)) "exact eps" [ 1 ] (Engine.Calendar.arrivals_at cal e1);
+  check_bool "absent time" true
+    (List.for_all
+       (fun e -> Engine.Calendar.time cal e <> 0.5)
+       (List.init (Engine.Calendar.num_events cal) Fun.id))
 
 let test_calendar_event_times_sorted_distinct () =
   let inst = heavy_instance 2 in
@@ -138,37 +150,63 @@ let test_arena_open_tail_is_a_slice () =
 
 (* --- Bitwise agreement: AVR --------------------------------------------- *)
 
+(* Fig. 3 as written: every unit interval of the horizon, its active jobs
+   found by a whole-array rescan, one [Avr.schedule_interval] step each,
+   segments prepended.  Avr.run must match it bit for bit, which checks its
+   calendar sweep and idle fast-forward. *)
+let avr_rescan (inst : Job.instance) =
+  let lo, hi = Job.horizon inst in
+  let t_start = int_of_float lo and t_end = int_of_float hi in
+  let density = Array.map Job.density inst.jobs in
+  let ids = List.init (Array.length inst.jobs) Fun.id in
+  let segments = ref [] and peeled = ref 0 in
+  for t = t_start to t_end - 1 do
+    let t0 = float_of_int t and t1 = float_of_int (t + 1) in
+    let active =
+      List.filter
+        (fun i -> inst.jobs.(i).Job.release <= t0 && t1 <= inst.jobs.(i).deadline)
+        ids
+    in
+    peeled :=
+      !peeled
+      + Avr.schedule_interval ~machines:inst.machines ~density
+          ~emit:(fun s -> segments := s :: !segments)
+          ~t0 ~t1 active
+  done;
+  ( Schedule.make ~machines:inst.machines !segments,
+    { Avr.intervals = t_end - t_start; peeled = !peeled } )
+
 let prop_avr_streaming_bitwise =
   QCheck.Test.make ~count:60 ~name:"AVR streaming = legacy, bit for bit" QCheck.small_nat
     (fun seed ->
-      let inst = instance_of seed in
-      let s1, i1 = Avr.run ~streaming:true inst in
-      let s2, i2 = Avr.run ~streaming:false inst in
-      i1 = i2 && Schedule.segments s1 = Schedule.segments s2)
+      List.for_all
+        (fun inst ->
+          let s1, i1 = Avr.run inst in
+          let s2, i2 = avr_rescan inst in
+          i1 = i2 && Schedule.segments s1 = Schedule.segments s2)
+        [ instance_of seed; random_instance (seed + 4100) ])
 
-(* --- Bitwise agreement: OA over the streaming x planner grid ------------ *)
+(* --- Bitwise agreement: OA over the loop x planner grid ----------------- *)
 
-(* Planner paths: Oa's session with slice-only materialization, and the
-   fresh-solver replay with full, clipped materialization. *)
+(* Oa (calendar loop, session planner, slice-only materialization), the
+   fresh-solver planner on the calendar loop, and the fresh-solver planner
+   on the whole-array rescan loop: all three must agree. *)
 
 let prop_oa_streaming_bitwise =
   QCheck.Test.make ~count:30 ~name:"OA streaming = legacy across planner paths"
     QCheck.small_nat
     (fun seed ->
       let inst = instance_of seed in
-      let runs =
-        List.concat_map
-          (fun streaming ->
-            let s, _, plans = Oa.run_detailed ~streaming inst in
-            let s', plans', _ = Oa_scratch.run_detailed ~streaming inst in
-            [ (Schedule.segments s, plans); (Schedule.segments s', plans') ])
-          [ true; false ]
-      in
-      match runs with
-      | first :: rest -> List.for_all (fun r -> r = first) rest
-      | [] -> false)
+      let s, _, plans = Oa.run_detailed inst in
+      let calendar_loop ~plan inst = Engine.replan_fold ~tol:Oa_scratch.tol ~plan inst in
+      let s', plans', m' = Oa_scratch.run_detailed ~replan_fold:calendar_loop inst in
+      let s'', plans'', m'' = Oa_scratch.run_detailed inst in
+      let segs = Schedule.segments s in
+      m' = 0 && m'' = 0
+      && segs = Schedule.segments s' && segs = Schedule.segments s''
+      && plans = plans' && plans = plans'')
 
-(* --- Bitwise agreement: EDF / BKP --------------------------------------- *)
+(* --- Bitwise agreement: BKP --------------------------------------------- *)
 
 let edf_slices (inst : Job.instance) =
   List.sort_uniq Float.compare
@@ -176,16 +214,46 @@ let edf_slices (inst : Job.instance) =
        (fun (jb : Job.t) -> [ jb.release; jb.deadline ])
        (Array.to_list inst.jobs))
 
-let prop_edf_streaming_bitwise =
-  QCheck.Test.make ~count:40 ~name:"EDF streaming arena = legacy lists" QCheck.small_nat
-    (fun seed ->
-      let inst = uniform_instance (seed + 90) in
-      let inst = { inst with Job.machines = 1 } in
-      let speed_at _ = 1.5 +. (float_of_int (seed mod 3) /. 2.) in
-      let o1 = Edf.run ~streaming:true ~slices:(edf_slices inst) ~speed_at inst in
-      let o2 = Edf.run ~streaming:false ~slices:(edf_slices inst) ~speed_at inst in
-      Schedule.segments o1.schedule = Schedule.segments o2.schedule
-      && o1.unfinished = o2.unfinished)
+(* BKP's definition run literally: at every speed sample, rebuild the
+   sorted distinct deadlines after t and take
+     v(t) = max_t' w(t, e t - (e-1) t', t') / (e (t' - t))
+   with the same Kahan window sum, then execute e v(t) with EDF over the
+   event grid refined [steps_per_event]-fold. *)
+let bkp_literal ~steps_per_event (inst : Job.instance) =
+  let euler = Float.exp 1. in
+  let window_work t t1 t2 =
+    Ss_numeric.Kahan.sum_f (Array.length inst.jobs) (fun i ->
+        let jb = inst.jobs.(i) in
+        if jb.release <= t && jb.release >= t1 && jb.deadline <= t2 then jb.work else 0.)
+  in
+  let v t =
+    Array.to_list inst.jobs
+    |> List.filter_map (fun (jb : Job.t) -> if jb.deadline > t then Some jb.deadline else None)
+    |> List.sort_uniq Float.compare
+    |> List.fold_left
+         (fun acc t' ->
+           let t1 = (euler *. t) -. ((euler -. 1.) *. t') in
+           Float.max acc (window_work t t1 t' /. (euler *. (t' -. t))))
+         0.
+  in
+  let rec refine acc = function
+    | a :: (b :: _ as rest) ->
+      let acc = ref acc in
+      for s = 0 to steps_per_event - 1 do
+        acc := (a +. ((b -. a) *. float_of_int s /. float_of_int steps_per_event)) :: !acc
+      done;
+      refine !acc rest
+    | [ last ] -> last :: acc
+    | [] -> acc
+  in
+  let slices = List.sort_uniq Float.compare (refine [] (edf_slices inst)) in
+  let out = Edf.run ~slices ~speed_at:(fun t -> euler *. v t) inst in
+  let max_residue =
+    List.fold_left
+      (fun acc (i, residual) -> Float.max acc (residual /. inst.jobs.(i).Job.work))
+      0. out.unfinished
+  in
+  (out.schedule, max_residue)
 
 let prop_bkp_streaming_bitwise =
   QCheck.Test.make ~count:15 ~name:"BKP streaming = legacy (schedule and residue)"
@@ -194,10 +262,10 @@ let prop_bkp_streaming_bitwise =
       let inst =
         G.poisson ~seed:(seed + 21) ~machines:1 ~jobs:6 ~rate:1.1 ~mean_work:2. ~slack:2.5 ()
       in
-      let o1 = Bkp.run ~streaming:true ~steps_per_event:16 inst in
-      let o2 = Bkp.run ~streaming:false ~steps_per_event:16 inst in
-      Schedule.segments o1.schedule = Schedule.segments o2.schedule
-      && o1.max_residue = o2.max_residue)
+      let o = Bkp.run ~steps_per_event:16 inst in
+      let schedule, max_residue = bkp_literal ~steps_per_event:16 inst in
+      Schedule.segments o.schedule = Schedule.segments schedule
+      && o.max_residue = max_residue)
 
 (* --- Metamorphic: integral time shift ----------------------------------- *)
 
@@ -212,9 +280,9 @@ let prop_time_shift_invariance_streaming =
       in
       let relclose a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs a) in
       relclose
-        (Schedule.energy p (fst (Avr.run ~streaming:true inst)))
-        (Schedule.energy p (fst (Avr.run ~streaming:true shifted)))
-      && relclose (Oa.energy ~streaming:true p inst) (Oa.energy ~streaming:true p shifted))
+        (Schedule.energy p (fst (Avr.run inst)))
+        (Schedule.energy p (fst (Avr.run shifted)))
+      && relclose (Oa.energy p inst) (Oa.energy p shifted))
 
 (* --- Stream generator --------------------------------------------------- *)
 
@@ -257,7 +325,7 @@ let test_stream_generator_guards () =
 let test_counters_populated () =
   let inst = G.stream ~seed:9 ~machines:4 ~jobs:80 ~rate:3. ~mean_work:2. ~max_laxity:5. () in
   let stats = Engine.counters () in
-  let s1, _ = Avr.run ~streaming:true ~stats inst in
+  let s1, _ = Avr.run ~stats inst in
   check_bool "events counted" true (stats.events > 0);
   (* Every job enters and leaves the active set exactly once (bar jobs
      expiring at the horizon end, removed implicitly). *)
@@ -271,7 +339,7 @@ let test_counters_populated () =
 let test_oa_counters_populated () =
   let inst = uniform_instance 17 in
   let stats = Engine.counters () in
-  let _ = Oa.run ~streaming:true ~stats inst in
+  let _ = Oa.run ~stats inst in
   check_bool "replan events counted" true (stats.events > 0);
   check_bool "live-set ops counted" true (stats.set_ops > 0);
   check_bool "segments counted" true (stats.emitted > 0)
@@ -305,7 +373,6 @@ let () =
           [
             prop_avr_streaming_bitwise;
             prop_oa_streaming_bitwise;
-            prop_edf_streaming_bitwise;
             prop_bkp_streaming_bitwise;
             prop_time_shift_invariance_streaming;
             prop_stream_generator_shape;

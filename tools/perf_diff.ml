@@ -152,7 +152,7 @@ let () =
         ("online", [ "replans"; "rounds"; "resumes"; "carried_jobs" ]);
         ("decomposition", [ "components"; "seq_speedup"; "speedup" ]);
         ("compressed", [ "rounds"; "compressed_rounds"; "dense_edges"; "speedup" ]);
-        ("online_engine", [ "events"; "set_ops"; "segments"; "events_per_sec"; "speedup" ]);
+        ("online_engine", [ "events"; "set_ops"; "segments"; "events_per_sec" ]);
         ( "throughput",
           [ "queries"; "hits"; "near_hits"; "hit_rate"; "steals"; "batch_qps"; "speedup" ] );
       ];
