@@ -26,6 +26,12 @@
 open Bechamel
 open Toolkit
 
+let float_jobs (inst : Ss_model.Job.instance) =
+  Array.map
+    (fun (j : Ss_model.Job.t) ->
+      { Ss_core.Offline.F.release = j.release; deadline = j.deadline; work = j.work })
+    inst.jobs
+
 let micro_tests () =
   (* Representative inputs for each substrate. *)
   let flow_instance =
@@ -76,10 +82,7 @@ let micro_tests () =
         (Staged.stage (fun () ->
              Ss_core.Offline.F.Reference.solve
                ~flow_algorithm:Ss_core.Offline.F.Reference.Push_relabel ~machines:4
-               (Array.map
-                  (fun (j : Ss_model.Job.t) ->
-                    { Ss_core.Offline.F.release = j.release; deadline = j.deadline; work = j.work })
-                  offline30.Ss_model.Job.jobs)));
+               (float_jobs offline30)));
       Test.make ~name:"certificate/n=8"
         (Staged.stage (fun () ->
              Ss_core.Certificate.certify ~fw_iterations:40 ~alpha:2.5
@@ -150,12 +153,8 @@ let online_counters ~smoke =
       (name, info, t_session))
     specs
 
-(* Decomposition layer on clustered workloads: component counts and
-   undecomposed vs decomposed (sequential and domain-dispatched) solve
-   times — the numbers behind the PR 4 perf_opt acceptance criterion.
-   On a single-core container the parallel and sequential decomposed
-   times coincide (Pool runs inline); the speedup then comes entirely
-   from the superlinear max-flow win of solving k small components. *)
+(* Decomposition layer on clustered workloads: the component count every
+   solve splits the instance into, and the solve time. *)
 let decomposition_counters ~smoke =
   let specs =
     if smoke then [ ("clustered/n=24,m=4,k=3", 17, 3, 8) ]
@@ -172,14 +171,7 @@ let decomposition_counters ~smoke =
         ignore (f ());
         Ss_experiments.Common.time_median f
       in
-      let t_undec = timed (fun () -> ignore (Ss_core.Offline.run ~decompose:false inst)) in
-      let t_seq =
-        timed (fun () -> ignore (Ss_core.Offline.run ~decompose:true ~parallel:false inst))
-      in
-      let t_par =
-        timed (fun () -> ignore (Ss_core.Offline.run ~decompose:true ~parallel:true inst))
-      in
-      (name, components, t_undec, t_seq, t_par))
+      (name, components, timed (fun () -> ignore (Ss_core.Offline.run inst))))
     specs
 
 (* The calendar/active-set/arena event loop under AVR(m) on the stream
@@ -222,16 +214,18 @@ let online_large_specs =
    instances (overlapping windows, so the grid has Theta(n) intervals and
    the dense Fig. 1 network Theta(n k) edges) — timings plus the dense
    network's size and flow-work counters (a compressed solve builds no
-   network). *)
+   network).  Both substrates are forced through [F.solve]'s [compress]
+   seam. *)
 let compressed_counters specs =
   List.map
     (fun (name, seed, machines, jobs, horizon) ->
       let inst = Ss_workload.Generators.heavy ~seed ~machines ~jobs ~horizon () in
+      let jobs = float_jobs inst in
       let measure compress =
         let last = ref None in
         let ms =
           Ss_experiments.Common.time_median (fun () ->
-              last := Some (Ss_core.Offline.run ~compress inst))
+              last := Some (Ss_core.Offline.F.solve ~compress ~machines jobs))
         in
         match !last with
         | Some (r : Ss_core.Offline.F.run) -> (r.stats, ms)
@@ -282,7 +276,7 @@ let throughput_counters ~smoke =
         Ss_workload.Generators.batch ~duplicate_rate ~seed ~machines:4 ~count ~jobs ()
       in
       let scratch () =
-        Array.map (fun i -> Ss_core.Offline.run ~parallel:false i) insts
+        Array.map Ss_core.Offline.run insts
       in
       let baseline = scratch () in
       let t_seq =
@@ -365,17 +359,12 @@ let emit_json ~file ~mode rows counters online decomposition compressed online_e
   let decomposition_section =
     Arr
       (List.map
-         (fun (name, components, t_undec, t_seq, t_par) ->
+         (fun (name, components, t_solve) ->
            Obj
              [
                ("instance", Str name);
                ("components", Num (float_of_int components));
-               ("domains", Num (float_of_int (Ss_parallel.Pool.default_domains ())));
-               ("undecomposed_ms", num t_undec);
-               ("sequential_ms", num t_seq);
-               ("parallel_ms", num t_par);
-               ("seq_speedup", num (t_undec /. Float.max 1e-9 t_seq));
-               ("speedup", num (t_undec /. Float.max 1e-9 t_par));
+               ("solve_ms", num t_solve);
              ])
          decomposition)
   in

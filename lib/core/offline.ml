@@ -62,8 +62,9 @@ struct
 
   exception Stranded_job of int
   (* Raised when a remaining job has no reservable processor time anywhere
-     in its window.  Cannot happen for valid instances (speeds are
-     unbounded); it would indicate a bug, so we fail loudly. *)
+     in its window.  Cannot happen for valid instances in exact arithmetic
+     (speeds are unbounded); on floats it does when a window is too narrow
+     for the field's absolute tolerance floor. *)
 
   let sort_uniq_times jobs =
     let all =
@@ -215,8 +216,9 @@ struct
     end;
     if !grew then ws.grows <- ws.grows + 1
 
-  (* Above this dense edge-table size (n * k) a solve defaults to the
-     compressed substrate; below it the dense Fig. 1 network is faster. *)
+  (* At or above this dense edge-table size (n * k, per component) a solve
+     runs on the compressed substrate; below it the dense Fig. 1 network
+     is faster.  Only [solve]'s [compress] seam overrides the choice. *)
   let compress_threshold = 20_000
 
   (* The round loop.
@@ -244,11 +246,11 @@ struct
      accepted flow is therefore canonical, and its t_kj are bit-identical
      to the reference's.
 
-     Compressed substrate ([compress], default above
-     [compress_threshold]): no network at all.  The sweep oracle below
-     computes a maximum flow of the dense network — value plus sparse
-     allocation — without materializing its O(n k) edges, and answers
-     every accept test, every Lemma 4 certificate and the accepted t_kj.
+     Compressed substrate (from [compress_threshold] up): no network at
+     all.  The sweep oracle below computes a maximum flow of the dense
+     network — value plus sparse allocation — without materializing its
+     O(n k) edges, and answers every accept test, every Lemma 4
+     certificate and the accepted t_kj.
      Partitions, speeds, procs, busy times and energies are bit-identical
      to the dense path; the split of t_kj among equal-speed members may
      differ (both are maximum flows of the same accepting network).  The
@@ -1117,16 +1119,15 @@ struct
       alloc = List.map (fun (i, j, t) -> (ids.(i), j + off, t)) p.alloc;
     }
 
-  (* Threshold below which domain dispatch is not worth the spawn cost. *)
-  let parallel_threshold = 24
-
-  let solve_split ?(decompose = true) ?compress ?on_phase ?parallel ~ws_for ~machines
-      (jobs : job array) =
-    (* Validate up front (as [solve_in] would) so malformed inputs are
-       rejected before any component dispatch. *)
+  (* The production solve: split at zero-coverage cuts and solve the
+     components in time order, one after another, on the one workspace
+     [ws] (every solve re-initializes the prefixes it reads). *)
+  let solve_split ?compress ?on_phase ~ws ~machines (jobs : job array) =
+    (* Validate up front (as [solve_in] would) so a malformed instance is
+       rejected before it is split. *)
     check_jobs ~machines jobs;
-    let solve_whole () = solve_in ?compress ?on_phase ~ws:(ws_for 0) ~machines jobs in
-    match if decompose then components jobs else [] with
+    let solve_whole () = solve_in ?compress ?on_phase ~ws ~machines jobs in
+    match components jobs with
     | [] | [ _ ] -> solve_whole ()
     | comps ->
       let breakpoints = sort_uniq_times jobs in
@@ -1135,7 +1136,7 @@ struct
       (* A component's event times must be a contiguous slice of the global
          grid (they are, by construction: components are time-disjoint and
          every event is a component event).  Checked defensively; on any
-         mismatch fall back to the undecomposed path rather than merge onto
+         mismatch fall back to the whole instance rather than merge onto
          a wrong offset. *)
       let sliced =
         Array.map
@@ -1158,28 +1159,13 @@ struct
       in
       if Array.exists (fun (_, _, _, ok) -> not ok) sliced then solve_whole ()
       else begin
-        let nc = Array.length sliced in
-        (* Workspaces are claimed sequentially before dispatch — one per
-           component slot, so rewind state is never shared across domains. *)
-        let wss = Array.init nc ws_for in
-        let solve_comp slot =
-          let ids, sub, _, _ = sliced.(slot) in
-          match solve_in ?compress ?on_phase ~ws:wss.(slot) ~machines sub with
-          | r -> r
-          | exception Stranded_job local -> raise (Stranded_job ids.(local))
-        in
-        let use_parallel =
-          match parallel with
-          | Some b -> b
-          | None ->
-            (* [on_phase] is a caller closure observed per phase; keep its
-               invocations on the calling domain and in component order. *)
-            on_phase = None && Array.length jobs >= parallel_threshold
-        in
         let runs =
-          if use_parallel then
-            Ss_parallel.Pool.map solve_comp (Array.init nc Fun.id)
-          else Array.map solve_comp (Array.init nc Fun.id)
+          Array.map
+            (fun (ids, sub, _, _) ->
+              match solve_in ?compress ?on_phase ~ws ~machines sub with
+              | r -> r
+              | exception Stranded_job local -> raise (Stranded_job ids.(local)))
+            sliced
         in
         (* Canonical merge: stitch every component phase onto the global
            grid, order by strictly decreasing speed (stable, so the
@@ -1252,12 +1238,9 @@ struct
         }
       end
 
-  (* The entry point: a fresh workspace per call, routed through the
-     decomposition layer by default. *)
-  let solve ?decompose ?compress ?parallel ?on_phase ~machines jobs =
-    solve_split ?decompose ?compress ?on_phase ?parallel
-      ~ws_for:(fun _ -> make_workspace ())
-      ~machines jobs
+  (* The entry point: a fresh workspace per call. *)
+  let solve ?compress ?on_phase ~machines jobs =
+    solve_split ?compress ?on_phase ~ws:(make_workspace ()) ~machines jobs
 
   (* --- cross-arrival solver sessions (Section 3.1, Lemmas 6–9) ----------
      A session owns a persistent workspace (flow arena, breakpoint-grid
@@ -1284,11 +1267,7 @@ struct
 
     type t = {
       machines : int;
-      mutable pool : workspace array;
-          (* slot 0 is the primary arena; decomposed solves claim one
-             workspace per component slot (grown on demand, sequentially,
-             before any domain dispatch) so rewind state is never shared
-             across domains. *)
+      ws : workspace;
       prev_speed : (int, F.t) Hashtbl.t;
       mutable solves : int;
       mutable rounds : int;
@@ -1303,7 +1282,7 @@ struct
       if machines <= 0 then invalid_arg "Offline.Session.create: machines <= 0";
       {
         machines;
-        pool = [| make_workspace () |];
+        ws = make_workspace ();
         prev_speed = Hashtbl.create 64;
         solves = 0;
         rounds = 0;
@@ -1316,26 +1295,12 @@ struct
 
     let machines t = t.machines
 
-    (* Claim the workspace for component slot [i], growing the pool if
-       needed.  Only called sequentially (before any parallel dispatch). *)
-    let ws_slot t i =
-      let len = Array.length t.pool in
-      if i >= len then
-        t.pool <-
-          Array.init
-            (max (i + 1) (2 * len))
-            (fun j -> if j < len then t.pool.(j) else make_workspace ());
-      t.pool.(i)
-
-    let solve ?keys ?decompose ?compress ?parallel t jobs =
+    let solve ?keys t jobs =
       (match keys with
       | Some ks when Array.length ks <> Array.length jobs ->
         invalid_arg "Offline.Session.solve: keys length mismatch"
       | _ -> ());
-      let run =
-        solve_split ?decompose ?compress ?parallel ~ws_for:(ws_slot t)
-          ~machines:t.machines jobs
-      in
+      let run = solve_split ~ws:t.ws ~machines:t.machines jobs in
       t.solves <- t.solves + 1;
       t.rounds <- t.rounds + run.stats.rounds;
       t.resumes <- t.resumes + run.stats.resumes;
@@ -1369,7 +1334,7 @@ struct
         grouped_rounds = t.grouped_rounds;
         carried_jobs = t.carried_jobs;
         monotone_carried = t.monotone_carried;
-        arena_grows = Array.fold_left (fun acc ws -> acc + ws.grows) 0 t.pool;
+        arena_grows = t.ws.grows;
       }
   end
 
@@ -1427,26 +1392,35 @@ struct
       (full @ partial);
     List.rev !segs
 
+  (* Each phase's alloc is split into per-interval buckets in one pass
+     (entries keep their alloc order) instead of being scanned once per
+     grid interval.  Segments come back grouped by interval, last interval
+     first. *)
   let schedule_segments (run : run) =
     let k = Array.length run.breakpoints - 1 in
+    let bucketed =
+      List.map
+        (fun (phase : phase) ->
+          let buckets = Array.make k [] in
+          List.iter
+            (fun (i, j, t) -> buckets.(j) <- (i, t) :: buckets.(j))
+            (List.rev phase.alloc);
+          (phase, buckets))
+        run.schedule_phases
+    in
     let segments = ref [] in
     for j = 0 to k - 1 do
       let t0 = run.breakpoints.(j) and t1 = run.breakpoints.(j + 1) in
       let offset = ref 0 in
       List.iter
-        (fun (phase : phase) ->
+        (fun ((phase : phase), buckets) ->
           if phase.procs.(j) > 0 then begin
-            let entries =
-              List.filter_map
-                (fun (i, j', t) -> if j' = j then Some (i, t) else None)
-                phase.alloc
-            in
             segments :=
-              wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed entries
+              wrap_pack ~t0 ~t1 ~proc_offset:!offset ~speed:phase.speed buckets.(j)
               :: !segments;
             offset := !offset + phase.procs.(j)
           end)
-        run.schedule_phases
+        bucketed
     done;
     List.concat !segments
 
@@ -1628,19 +1602,18 @@ let slice_of_run ~machines (run : F.run) ~lo ~hi =
          if t1 > t0 then Some { s with t0; t1 } else None)
   |> List.sort compare_segment
 
-(* Number of independent sub-instances the decomposition layer splits the
-   instance into (1 = nothing to gain from decomposition). *)
+(* Number of independent sub-instances every solve splits the instance
+   into. *)
 let component_count (inst : Job.instance) =
   List.length (F.components (float_jobs inst))
 
-let run ?decompose ?compress ?parallel (inst : Job.instance) =
-  F.solve ?decompose ?compress ?parallel ~machines:inst.machines (float_jobs inst)
+let run (inst : Job.instance) = F.solve ~machines:inst.machines (float_jobs inst)
 
-let solve ?decompose ?compress ?parallel (inst : Job.instance) =
+let solve (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Offline.solve: invalid instance");
-  let run = run ?decompose ?compress ?parallel inst in
+  let run = run inst in
   let schedule = schedule_of_run ~machines:inst.machines run in
   let info =
     {
@@ -1677,5 +1650,5 @@ let exact_jobs (inst : Job.instance) =
       { Exact.release = r j.release; deadline = r j.deadline; work = r j.work })
     inst.jobs
 
-let solve_exact ?compress (inst : Job.instance) =
-  Exact.solve ?compress ~machines:inst.machines (exact_jobs inst)
+let solve_exact (inst : Job.instance) =
+  Exact.solve ~machines:inst.machines (exact_jobs inst)

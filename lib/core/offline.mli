@@ -39,7 +39,7 @@ module MakeWith
             once (always 0 in {!Reference} runs) *)
     net_edges : int;
         (** peak forward-edge count of the round network (max across
-            components when decomposed) *)
+            components) *)
     net_pushes : int;
         (** total edge-flow updates across the solve's max-flow work *)
     net_bfs_waves : int;
@@ -54,8 +54,8 @@ module MakeWith
             the accepted jobs' flow support, counted before each drain *)
     phase_edges : int array;
         (** per phase, in phase order: the peak forward-edge count of its
-            round networks (concatenated in component order when
-            decomposed); {!stats.net_edges} is the maximum entry *)
+            round networks (concatenated in component order);
+            {!stats.net_edges} is the maximum entry *)
     phase_bfs_waves : int array;
         (** per phase, in phase order: BFS passes spent in its rounds *)
   }
@@ -76,13 +76,11 @@ module MakeWith
       indices into the input. *)
 
   val compress_threshold : int
-  (** Dense edge-table size ([n * k]) above which a solve defaults to the
-      compressed substrate. *)
+  (** Dense edge-table size ([n * k], per component) at or above which a
+      solve runs on the compressed substrate. *)
 
   val solve :
-    ?decompose:bool ->
     ?compress:bool ->
-    ?parallel:bool ->
     ?on_phase:(int -> F.t -> Flow.t -> unit) ->
     machines:int ->
     job array ->
@@ -98,24 +96,23 @@ module MakeWith
       Dinic from zero, so the accepted flows, and with them the [t_kj],
       are bit-identical to {!Reference}'s rebuilt networks.
 
-      [decompose] (default [true]) first splits the instance at
-      zero-coverage grid points (see {!components}), solves the
-      independent components on separate workspaces and merges the phase
-      lists back onto the global grid in decreasing-speed order.  The
-      merged run is bit-identical to the undecomposed one — same
-      breakpoints, speeds, members, reservations and allocations — except
-      in the measure-zero case of a bitwise speed tie across components
-      (the merge then coalesces the tied classes, whose mathematically
-      equal merged speed the global solver would have re-derived with a
-      differently-ordered float sum); round/removal counters may differ
-      because the global round loop conjectures blended speeds across
-      components.  [parallel] forces component dispatch over
-      [Ss_parallel.Pool] domains on or off (default: on when there are
-      ≥ 2 components, the instance is non-trivial and no [on_phase] hook
-      is installed); results are deterministic either way.
+      Every solve first splits the instance at zero-coverage grid points
+      (see {!components}), solves the independent components in time order
+      on one workspace and merges the phase lists back onto the global
+      grid in decreasing-speed order.  The merged run is bit-identical to
+      {!Reference}'s whole-instance run — same breakpoints, speeds,
+      members, reservations and allocations — except in the measure-zero
+      case of a bitwise speed tie across components (the merge then
+      coalesces the tied classes, whose mathematically equal merged speed
+      a whole-instance solve would re-derive with a differently-ordered
+      float sum).
 
-      [compress] (default: on iff [n * k >= compress_threshold], decided
-      per component) builds no network at all: an exact oracle — an
+      The substrate is picked per component by size: the compressed one
+      when [n * k >= compress_threshold], the dense Fig. 1 network below.
+      [compress] overrides that choice; it is the seam the
+      dense-vs-compressed agreement tests and benchmark rows use, and no
+      production caller sets it.  The compressed substrate builds no
+      network at all: an exact oracle — an
       earliest-deadline sweep finished by blocking flows on the implicit
       dense residual — computes a maximum flow of the dense network
       without materializing its O(n k) edges, and answers every accept
@@ -135,9 +132,13 @@ module MakeWith
       starting flow is installed — after the drain and rewind at a phase
       boundary — a test hook for auditing the persistent network's flow
       (an empty network on compressed solves).
-      @raise Invalid_argument on malformed jobs.
-      @raise Stranded_job only on internal failure (valid instances are
-      always schedulable). *)
+      @raise Invalid_argument on malformed jobs, including (on floats) a
+      work the field reads as zero, e.g. [1e-10].
+      @raise Stranded_job when a remaining job finds no reservable
+      processor time in its window.  On an exact field that never happens
+      to valid jobs; on floats it does below the tolerance floor of
+      {!Ss_numeric.Field.float_rel_tolerance}, e.g. for a window of width
+      [1e-10]. *)
 
   (** The paper-literal reference solver: every round rebuilds the dense
       Fig. 1 network for the current candidates, computes a maximum flow
@@ -159,19 +160,20 @@ module MakeWith
       machines:int ->
       job array ->
       run
-    (** Defaults: [Dinic], [Least_flow].  With [Dinic], the run equals
-        [solve ~decompose:false ~compress:false] in every phase, speed,
-        reservation and allocation, bit for bit.
+    (** Defaults: [Dinic], [Least_flow].  With [Dinic], the run equals a
+        dense {!solve}'s in every phase, speed, reservation and allocation,
+        bit for bit (barring the cross-component speed tie noted there).
         @raise Invalid_argument on malformed jobs. *)
   end
 
   (** Cross-arrival solver sessions (Section 3.1, Lemmas 6–9).
 
-      A session owns a persistent flow arena, breakpoint-grid scratch and
-      reservation arrays, reused across successive solves — the natural
+      A session owns one persistent workspace — flow arena, breakpoint-grid
+      scratch, reservation arrays and sweep-oracle state — reused across
+      successive solves, their components and both substrates: the natural
       shape for OA(m) replanning, which re-solves a slightly different
-      instance at every arrival.  Session solves run {!solve}'s round loop
-      and return identical runs.
+      instance at every arrival.  Session solves run {!solve} and return
+      identical runs.
 
       The Lemma 6–9 monotonicity across OA replans is tracked as a ledger:
       tag jobs with stable [keys] and the session counts how many carried
@@ -200,21 +202,11 @@ module MakeWith
 
     val machines : t -> int
 
-    val solve :
-      ?keys:int array ->
-      ?decompose:bool ->
-      ?compress:bool ->
-      ?parallel:bool ->
-      t ->
-      job array ->
-      run
+    val solve : ?keys:int array -> t -> job array -> run
     (** Solve one instance on the session's machines, reusing the
         workspace.  [keys.(i)] is a caller-stable identity for job [i]
         (e.g. the original job id across OA replans), used only for the
-        monotonicity ledger.  [decompose]/[compress]/[parallel] behave as
-        in the top-level {!solve}; decomposed session solves claim one persistent
-        workspace per component slot, so rewind state is never shared
-        across domains.
+        monotonicity ledger.
         @raise Invalid_argument if [keys] disagrees with [jobs] in length,
         or on malformed jobs. *)
 
@@ -228,7 +220,8 @@ module MakeWith
 
   val schedule_segments : run -> segment list
   (** Field-generic Lemma 2 wrap-packing: on the rational instance the
-      materialized schedule is exact. *)
+      materialized schedule is exact.  Segments come grouped by grid
+      interval, last interval first. *)
 
   type violation =
     | Wrong_work of int
@@ -264,30 +257,20 @@ type info = {
 }
 
 val component_count : Ss_model.Job.instance -> int
-(** Number of independent sub-instances the decomposition layer splits the
-    instance into (1 = nothing to gain from decomposition). *)
+(** Number of independent sub-instances every solve splits the instance
+    into (see {!MakeWith.components}). *)
 
-val solve :
-  ?decompose:bool ->
-  ?compress:bool ->
-  ?parallel:bool ->
-  Ss_model.Job.instance ->
-  Ss_model.Schedule.t * info
+val solve : Ss_model.Job.instance -> Ss_model.Schedule.t * info
 (** Full pipeline: run the algorithm and materialize the schedule via the
     Lemma 2 wrap-packing.  The result is feasible and optimal for every
-    convex non-decreasing power function.  [decompose] (default [true])
-    solves independent components separately — bit-identical results, see
-    {!MakeWith.solve}. *)
+    convex non-decreasing power function.
+    @raise Invalid_argument on an instance {!Ss_model.Job.validate}
+    rejects. *)
 
 val optimal_schedule : Ss_model.Job.instance -> Ss_model.Schedule.t
 val optimal_energy : Ss_model.Power.t -> Ss_model.Job.instance -> float
 
-val run :
-  ?decompose:bool ->
-  ?compress:bool ->
-  ?parallel:bool ->
-  Ss_model.Job.instance ->
-  F.run
+val run : Ss_model.Job.instance -> F.run
 (** The raw phase structure (no schedule materialization). *)
 
 val energy_of_run : Ss_model.Power.t -> F.run -> float
@@ -304,5 +287,5 @@ val slice_of_run :
     the hot path of online replanning, where each plan is only followed
     until the next arrival. *)
 
-val solve_exact : ?compress:bool -> Ss_model.Job.instance -> Exact.run
+val solve_exact : Ss_model.Job.instance -> Exact.run
 (** Exact-rational replay of the entire algorithm (floats embed exactly). *)

@@ -43,7 +43,9 @@ end
 
 (* Relative tolerance used by the float instance.  1e-9 is far below any
    meaningful energy/time difference in our instances (whose values live in
-   [1e-3, 1e6]) and far above accumulated round-off of the flow pipeline. *)
+   [1e-3, 1e6]) and far above accumulated round-off of the flow pipeline.
+   It is floored at an absolute 1e-9 ([tol] scales by max 1 |a| |b|, and
+   [is_zero] is absolute), so values at or below 1e-9 read as zero. *)
 let float_rel_tolerance = 1e-9
 
 module Float : S with type t = float = struct

@@ -50,7 +50,13 @@ module type S = sig
 end
 
 val float_rel_tolerance : float
-(** Relative tolerance used by the {!Float} instance ([1e-9]). *)
+(** Relative tolerance used by the {!Float} instance ([1e-9]).  It is
+    floored at an absolute [1e-9]: comparisons scale it by
+    [max 1 |a| |b|], and {!S.is_zero}/{!S.sign} read every [|x| <= 1e-9]
+    as zero.  So the float solver only handles instances whose works,
+    window widths and speeds stay well above [1e-9]: a job of work
+    [1e-10] counts as work [<= 0], and a window of width [1e-10] strands
+    its job, although {!Ss_model.Job.validate} accepts both. *)
 
 module Float : S with type t = float
 (** The IEEE-754 double instance with relative-tolerance comparisons. *)

@@ -43,7 +43,7 @@ type info = {
 
 let default_tol = 1e-9
 
-let run_detailed ?(tol = default_tol) ?stats ?compress (inst : Job.instance) =
+let run_detailed ?(tol = default_tol) ?stats (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
@@ -59,7 +59,7 @@ let run_detailed ?(tol = default_tol) ?stats ?compress (inst : Job.instance) =
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
     (* Every job of a replanning sub-instance is released at [now], so it
        is always one component: decomposition has nothing to split. *)
-    let run = Offline.F.Session.solve ~keys:ids ?compress session sub_jobs in
+    let run = Offline.F.Session.solve ~keys:ids session sub_jobs in
     (* Planned speed of every live job (its class speed). *)
     let job_speeds =
       List.concat_map
@@ -91,15 +91,15 @@ let run_detailed ?(tol = default_tol) ?stats ?compress (inst : Job.instance) =
   in
   (schedule, info, List.rev !plans)
 
-let run ?tol ?stats ?compress inst =
-  let schedule, info, _ = run_detailed ?tol ?stats ?compress inst in
+let run ?tol ?stats inst =
+  let schedule, info, _ = run_detailed ?tol ?stats inst in
   (schedule, info)
 
-let schedule ?tol ?compress inst =
-  let s, _, _ = run_detailed ?tol ?compress inst in
+let schedule ?tol inst =
+  let s, _, _ = run_detailed ?tol inst in
   s
 
-let energy ?tol ?compress power inst = Schedule.energy power (schedule ?tol ?compress inst)
+let energy ?tol power inst = Schedule.energy power (schedule ?tol inst)
 
 (* Theorem 2 guarantee. *)
 let competitive_bound ~alpha =

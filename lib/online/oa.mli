@@ -30,7 +30,6 @@ type info = {
 val run_detailed :
   ?tol:float ->
   ?stats:Engine.counters ->
-  ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info * plan list
 (** Full simulation plus the replanning history (consumed by the
@@ -39,30 +38,21 @@ val run_detailed :
     one persistent flow arena and workspace — and materialize only the
     followed slice of each plan.  The simulation loop is
     {!Engine.replan_fold} (calendar + incremental live set).  [stats]
-    accumulates {!Engine.counters} in place.  [compress] is forwarded to
-    the solver's compressed substrate (default: size-triggered per
-    replan); plans and schedules are identical either way. *)
+    accumulates {!Engine.counters} in place.  Each replan runs on the
+    substrate its size picks (see
+    {!Ss_core.Offline.MakeWith.compress_threshold}): a replan of many
+    jobs released together runs on the compressed one. *)
 
 val run :
   ?tol:float ->
   ?stats:Engine.counters ->
-  ?compress:bool ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
 (** @raise Invalid_argument on invalid instances. *)
 
-val schedule :
-  ?tol:float ->
-  ?compress:bool ->
-  Ss_model.Job.instance ->
-  Ss_model.Schedule.t
+val schedule : ?tol:float -> Ss_model.Job.instance -> Ss_model.Schedule.t
 
-val energy :
-  ?tol:float ->
-  ?compress:bool ->
-  Ss_model.Power.t ->
-  Ss_model.Job.instance ->
-  float
+val energy : ?tol:float -> Ss_model.Power.t -> Ss_model.Job.instance -> float
 
 val competitive_bound : alpha:float -> float
 (** [alpha ** alpha]. *)

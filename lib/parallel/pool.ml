@@ -7,8 +7,7 @@
    next to full solves).  It runs in two ways: [Crew], persistent worker
    domains parked on a condition variable, which keeps domain spawn/join
    cost out of the per-batch path (the dispatch throughput engine); and
-   [map], one batch on domains spawned for the call (component solves,
-   experiment cells).
+   [map], one batch on domains spawned for the call (experiment cells).
 
    Exceptions raised by the worker function are captured and re-raised in
    the caller (first one wins); determinism of results is guaranteed

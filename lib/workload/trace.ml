@@ -75,19 +75,27 @@ let load path = of_string (read_file path)
 let batch_to_string insts =
   Array.to_list insts |> List.map to_string |> String.concat "---\n"
 
+(* Each chunk carries the file line it starts on, so a failure names the
+   instance (1-based) and that line.  The handler only runs on failure. *)
 let batch_of_string text =
-  let rec split chunk chunks = function
-    | [] -> List.rev (List.rev chunk :: chunks)
+  let rec split lineno start chunk chunks = function
+    | [] -> List.rev ((start, List.rev chunk) :: chunks)
     | line :: rest when String.trim line = "---" ->
-      split [] (List.rev chunk :: chunks) rest
-    | line :: rest -> split (line :: chunk) chunks rest
+      split (lineno + 1) (lineno + 1) [] ((start, List.rev chunk) :: chunks) rest
+    | line :: rest -> split (lineno + 1) start (line :: chunk) chunks rest
   in
-  let chunks = split [] [] (String.split_on_char '\n' text) in
-  let nonempty lines = List.exists (fun l -> String.trim l <> "") lines in
-  let insts =
-    List.filter nonempty chunks
-    |> List.map (fun lines -> of_string (String.concat "\n" lines))
+  let chunks = split 1 1 [] [] (String.split_on_char '\n' text) in
+  let nonempty (_, lines) = List.exists (fun l -> String.trim l <> "") lines in
+  let parse idx (start, lines) =
+    match of_string (String.concat "\n" lines) with
+    | inst -> inst
+    | exception Parse_error (line, msg) ->
+      raise
+        (Parse_error (start + Int.max 0 (line - 1), Printf.sprintf "instance %d: %s" (idx + 1) msg))
+    | exception Invalid_argument msg ->
+      invalid_arg (Printf.sprintf "instance %d (line %d): %s" (idx + 1) start msg)
   in
+  let insts = List.filter nonempty chunks |> List.mapi parse in
   if insts = [] then raise (Parse_error (0, "empty batch"));
   Array.of_list insts
 

@@ -11,6 +11,11 @@ val load : string -> Ss_model.Job.instance
 
 val batch_to_string : Ss_model.Job.instance array -> string
 val batch_of_string : string -> Ss_model.Job.instance array
+(** A failing instance is named by its 1-based index in the batch: a
+    {!Parse_error} carries the file line and an ["instance i: "] prefix;
+    an [Invalid_argument] from {!Ss_model.Job.instance} is re-raised with
+    an ["instance i (line l): "] prefix, [l] the line the instance starts
+    on. *)
 
 val save_batch : string -> Ss_model.Job.instance array -> unit
 (** Multi-instance batch: single-instance traces joined by ['---'] lines

@@ -1,7 +1,8 @@
 (* OA(m) replayed the plain way, as an agreement oracle for Oa.run_detailed:
    a whole-array rescan at every distinct release time, a fresh offline
-   solve of the live jobs, a full materialization of its plan, clipped to
-   the window followed until the next arrival.
+   solve of the live jobs on the dense Fig. 1 network, a full
+   materialization of its plan, clipped to the window followed until the
+   next arrival.
 
    Oa itself walks the event calendar with an incremental live set, replans
    on one persistent session and materializes only the followed slice.
@@ -75,7 +76,7 @@ let run_detailed ?(replan_fold = replan_fold) (inst : Job.instance) =
         live
     in
     let ids = Array.map (fun (l : Engine.live) -> l.id) live in
-    let run = O.F.solve ~machines:inst.machines jobs in
+    let run = O.F.solve ~compress:false ~machines:inst.machines jobs in
     let job_speeds =
       List.concat_map
         (fun (ph : O.F.phase) -> List.map (fun local -> (ids.(local), ph.speed)) ph.members)

@@ -4,9 +4,11 @@
 
    (a) Solver: runs with [compress:true] agree with the dense path —
        members, speeds, procs and energy bitwise, per-member allocated
-       totals — across generators, seeds, machine counts, sessions,
-       decomposed solves, OA(m) replanning, the paper-literal reference
-       and the exact rational field.
+       totals — across generators, seeds, machine counts, multi-component
+       solves, the paper-literal reference and the exact rational field;
+       one session workspace serves components and both substrates; OA(m)
+       replans above the size threshold agree with a dense-planner
+       replay.
    (b) Counters: the dense run counts its flow work; a compressed run
        builds no network, so its flow counters read 0. *)
 
@@ -127,46 +129,79 @@ let test_clustered_split () =
       in
       let jobs = float_jobs inst in
       let dense = Offline.F.solve ~compress:false ~machines:4 jobs in
-      List.iter
-        (fun decompose ->
-          let comp = Offline.F.solve ~compress:true ~decompose ~machines:4 jobs in
-          check_float_agree
-            (Printf.sprintf "clustered s=%d decompose=%b" seed decompose)
-            dense comp)
-        [ true; false ])
+      let comp = Offline.F.solve ~compress:true ~machines:4 jobs in
+      check_float_agree (Printf.sprintf "clustered s=%d" seed) dense comp)
     [ 61; 62 ]
 
+(* One session workspace across components and substrates: a
+   multi-component clustered instance, a heavy one above the compression
+   threshold and a small dense one, solved in sequence and then again —
+   every run equals a fresh solve bitwise, stats included. *)
 let test_session_agrees () =
   let machines = 4 in
   let session = Offline.F.Session.create ~machines in
+  let heavy = G.heavy ~integral:false ~seed:71 ~machines ~jobs:150 ~horizon:75. () in
+  let cases =
+    [
+      ( "clustered",
+        G.clustered ~seed:72 ~machines ~clusters:4 ~jobs_per_cluster:10 ~cluster_span:12.
+          ~gap:3. ~max_work:4. () );
+      ("heavy", heavy);
+      ("small", G.uniform ~seed:73 ~machines ~jobs:10 ~horizon:16. ~max_work:4. ());
+    ]
+  in
+  Alcotest.(check bool) "clustered instance splits" true
+    (Offline.component_count (List.assoc "clustered" cases) > 1);
+  let bp = (Offline.F.solve ~machines (float_jobs heavy)).breakpoints in
+  Alcotest.(check bool) "heavy instance is compressed" true
+    (Array.length heavy.jobs * (Array.length bp - 1) >= Offline.F.compress_threshold);
   List.iter
-    (fun seed ->
+    (fun pass ->
       List.iter
         (fun (name, inst) ->
           let jobs = float_jobs inst in
-          let dense = Offline.F.solve ~compress:false ~machines jobs in
-          let via_session = Offline.F.Session.solve ~compress:true session jobs in
-          check_float_agree (name ^ " session") dense via_session)
-        (instance_mix seed machines))
-    [ 71; 72; 73 ]
+          let fresh = Offline.F.solve ~machines jobs in
+          let via_session = Offline.F.Session.solve session jobs in
+          let tag = Printf.sprintf "%s pass %d" name pass in
+          Alcotest.(check bool) (tag ^ " breakpoints") true
+            (fresh.breakpoints = via_session.breakpoints);
+          Alcotest.(check bool) (tag ^ " phases") true
+            (fresh.schedule_phases = via_session.schedule_phases);
+          Alcotest.(check bool) (tag ^ " stats") true (fresh.stats = via_session.stats))
+        cases)
+    [ 1; 2 ]
 
+(* OA(m) whose first replan is above the compression threshold: 150 jobs
+   released together, then a later batch after every first-batch
+   deadline.  The plans agree bitwise with the replay on a dense planner
+   (speeds are substrate-independent); the schedule energy sums over
+   segments whose packing follows the (non-unique) t_kj split, so it is
+   approximately equal, not bitwise. *)
 let test_oa_agrees () =
   let p3 = Power.alpha 3. in
-  List.iter
-    (fun seed ->
-      let inst =
-        G.poisson ~seed ~machines:2 ~jobs:14 ~rate:1.1 ~mean_work:2. ~slack:2.4 ()
-      in
-      let s_dense, i_dense = Ss_online.Oa.run ~compress:false inst in
-      let s_comp, i_comp = Ss_online.Oa.run ~compress:true inst in
-      Alcotest.(check int) "OA replans" i_dense.replans i_comp.replans;
-      (* Schedule energy sums over materialized segments, whose packing
-         depends on the (non-unique) t_kj split — approximately equal,
-         not bitwise. *)
-      close "OA energy"
-        (Ss_model.Schedule.energy p3 s_dense)
-        (Ss_model.Schedule.energy p3 s_comp))
-    [ 81; 82 ]
+  let rng = Ss_workload.Rng.create ~seed:81 in
+  let job release span =
+    Job.make ~release
+      ~deadline:(release +. Ss_workload.Rng.uniform rng ~lo:1. ~hi:span)
+      ~work:(Ss_workload.Rng.uniform rng ~lo:0.5 ~hi:4.)
+  in
+  let first = List.init 150 (fun _ -> job 0. 20.) in
+  let later = List.init 12 (fun i -> job (21. +. float_of_int (i / 4)) 6.) in
+  let inst = Job.instance ~machines:4 (first @ later) in
+  let first_jobs = float_jobs (Job.instance ~machines:4 first) in
+  let first_k = Array.length (Offline.F.solve ~machines:4 first_jobs).breakpoints - 1 in
+  Alcotest.(check bool) "first replan is compressed" true
+    (150 * first_k >= Offline.F.compress_threshold);
+  let s_comp, _, plans = Ss_online.Oa.run_detailed inst in
+  let s_dense, plans_dense, _ = Oa_scratch.run_detailed inst in
+  Alcotest.(check int) "OA replans" (List.length plans_dense) (List.length plans);
+  List.iter2
+    (fun (a : Ss_online.Oa.plan) (b : Ss_online.Oa.plan) ->
+      Alcotest.(check bool) (Printf.sprintf "plan at %g" a.at) true (a = b))
+    plans_dense plans;
+  close "OA energy"
+    (Ss_model.Schedule.energy p3 s_dense)
+    (Ss_model.Schedule.energy p3 s_comp)
 
 let test_exact_agrees () =
   List.iter
@@ -218,8 +253,8 @@ let test_exact_agrees () =
 let test_counters () =
   let inst = G.heavy ~seed:91 ~machines:8 ~jobs:150 ~horizon:60. () in
   let jobs = float_jobs inst in
-  let dense = Offline.F.solve ~compress:false ~decompose:false ~machines:8 jobs in
-  let comp = Offline.F.solve ~compress:true ~decompose:false ~machines:8 jobs in
+  let dense = Offline.F.solve ~compress:false ~machines:8 jobs in
+  let comp = Offline.F.solve ~compress:true ~machines:8 jobs in
   check_float_agree "counter instance" dense comp;
   Alcotest.(check bool) "dense work was counted" true
     (dense.stats.net_edges > 0 && dense.stats.net_pushes > 0 && dense.stats.net_bfs_waves > 0);

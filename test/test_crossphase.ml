@@ -4,14 +4,14 @@
    (a) Bitwise agreement with the paper-literal reference, which rebuilds
        the network every round: members, speeds, procs, allocations and
        breakpoints on random, clustered and heavy instances, through
-       solve_split and sessions.  Compressed solves agree on the
+       multi-component solves and sessions.  Compressed solves agree on the
        partition bitwise and on per-member totals.
    (b) The parametric invariant, as a QCheck property: phase speeds
        strictly decrease, and after every phase boundary's drain and
        rewind the persistent flow passes a full audit (capacity +
        conservation at every vertex) on the reused arena.
-   (c) Counters: [phase_resumes] = phases - 1 on undecomposed multi-phase
-       solves, per-phase arrays have one entry per phase, their BFS-wave
+   (c) Counters: [phase_resumes] = phases - 1 on one-component
+       multi-phase solves, per-phase arrays have one entry per phase, their BFS-wave
        sum reproduces [net_bfs_waves], and [net_edges] is the maximum
        per-phase peak.
    (d) Exact-rational replay: the exact field's run certifies the float
@@ -106,14 +106,14 @@ let test_session_and_split () =
       in
       let jobs = float_jobs inst in
       let tag = Printf.sprintf "split s=%d" seed in
-      (* Decomposed solves carry one network per component. *)
-      let split = Offline.F.solve ~decompose:true ~machines jobs in
+      (* Each component rebuilds the network on the one workspace. *)
+      let split = Offline.F.solve ~machines jobs in
       check_bitwise tag split (Offline.F.Reference.solve ~machines jobs);
       Alcotest.(check int)
         (tag ^ " per-phase entries cover all phases")
         split.stats.phases
         (Array.length split.stats.phase_edges);
-      (* A session reusing its workspaces matches a fresh solve bitwise. *)
+      (* A session reusing its workspace matches a fresh solve bitwise. *)
       check_bitwise (tag ^ " session") split (Offline.F.Session.solve session jobs))
     [ 41; 42; 43 ]
 
@@ -142,7 +142,7 @@ let prop_invariant =
         incr audits
       in
       let run =
-        Offline.F.solve ~decompose:false ~on_phase ~machines:inst.machines jobs
+        Offline.F.solve ~on_phase ~machines:inst.machines jobs
       in
       (* The hook fired once per phase, with the phase's *initial*
          conjectured speed — which only bounds the accepted speed from
@@ -169,7 +169,8 @@ let prop_invariant =
 
 let test_counters () =
   let inst = G.heavy ~seed:55 ~machines:4 ~jobs:40 ~horizon:20. () in
-  let r = Offline.F.solve ~compress:false ~decompose:false ~machines:4 (float_jobs inst) in
+  Alcotest.(check int) "one component" 1 (Offline.component_count inst);
+  let r = Offline.F.solve ~compress:false ~machines:4 (float_jobs inst) in
   Alcotest.(check int) "phase_resumes = phases - 1" (r.stats.phases - 1) r.stats.phase_resumes;
   Alcotest.(check int) "one phase_edges entry per phase" r.stats.phases
     (Array.length r.stats.phase_edges);

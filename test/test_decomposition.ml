@@ -1,13 +1,13 @@
 (* Tests for the instance-decomposition layer of the offline solver.
 
-   The guarantee under test (same discipline as the production-vs-reference
-   agreement): splitting at zero-coverage grid points, solving the components
-   independently (optionally over domains) and canonically merging yields
-   a run that is bit-identical to the undecomposed solver's — same
-   breakpoints, phase speeds, members, processor reservations, execution
-   times and materialized schedules.  Only the round/removal counters may
-   differ (the global round loop conjectures blended speeds across
-   components before converging on each class). *)
+   Every production solve splits the instance at zero-coverage grid points,
+   solves the components in time order and canonically merges them.  The
+   guarantee under test: the merged run is bit-identical to the
+   paper-literal reference's whole-instance run ([Offline.F.Reference],
+   which never splits) — same breakpoints, phase speeds, members,
+   processor reservations, execution times and materialized schedules.
+   Only the round/removal counters differ (the reference removes one
+   victim per round and conjectures blended speeds across components). *)
 
 module Job = Ss_model.Job
 module Power = Ss_model.Power
@@ -29,6 +29,11 @@ let fjobs (inst : Job.instance) =
    here (all times/speeds/allocations are finite and positive). *)
 let same_run (a : Offline.F.run) (b : Offline.F.run) =
   a.breakpoints = b.breakpoints && a.schedule_phases = b.schedule_phases
+
+(* The whole-instance oracle: these instances are small, so production
+   runs on the dense substrate, where it matches the reference bitwise. *)
+let reference (inst : Job.instance) =
+  Offline.F.Reference.solve ~machines:inst.machines (fjobs inst)
 
 let random_instance seed =
   let rng = Ss_workload.Rng.create ~seed in
@@ -60,16 +65,6 @@ let test_clustered_component_count () =
         (Offline.component_count inst))
     [ 1; 2; 4; 7 ]
 
-let test_single_component_identical_path () =
-  (* All windows overlap: one component, so decomposition must be a
-     pass-through (identical run including counters). *)
-  let inst = Job.instance ~machines:2 [ j 0. 4. 8.; j 0. 2. 6.; j 1. 3. 2. ] in
-  Alcotest.(check int) "one component" 1 (Offline.component_count inst);
-  let d = Offline.run ~decompose:true inst in
-  let u = Offline.run ~decompose:false inst in
-  check_bool "identical run" true (same_run d u);
-  check_bool "identical stats" true (d.stats = u.stats)
-
 let test_all_singletons () =
   (* Pairwise-disjoint windows: every job is its own component. *)
   let inst =
@@ -77,8 +72,8 @@ let test_all_singletons () =
       [ j 0. 2. 3.; j 2. 4. 1.; j 5. 7. 2.; j 8. 9. 0.5; j 10. 13. 4. ]
   in
   Alcotest.(check int) "five components" 5 (Offline.component_count inst);
-  let d = Offline.run ~decompose:true inst in
-  let u = Offline.run ~decompose:false inst in
+  let d = Offline.run inst in
+  let u = reference inst in
   check_bool "identical run" true (same_run d u);
   let sd = Offline.schedule_of_run ~machines:2 d in
   let su = Offline.schedule_of_run ~machines:2 u in
@@ -123,21 +118,9 @@ let test_components_partition_and_order () =
       disjoint comps)
     [ 1; 2; 3; 4; 5 ]
 
-let test_parallel_matches_sequential () =
-  List.iter
-    (fun seed ->
-      let inst = clustered_instance seed in
-      let jobs = fjobs inst in
-      let seq = Offline.F.solve ~parallel:false ~machines:inst.machines jobs in
-      let par = Offline.F.solve ~parallel:true ~machines:inst.machines jobs in
-      check_bool (Printf.sprintf "seed %d run" seed) true (same_run seq par);
-      check_bool (Printf.sprintf "seed %d stats" seed) true (seq.stats = par.stats))
-    [ 10; 11; 12; 13 ]
-
 let test_session_decomposed_agrees () =
-  (* A session solving a decomposable instance (one workspace per
-     component slot) must agree with the one-shot solver phase for phase;
-     grouped removals only change counters. *)
+  (* A session solving a decomposable instance (every component on the
+     session's one workspace) must agree with the one-shot solver. *)
   List.iter
     (fun seed ->
       let inst = clustered_instance (seed + 40) in
@@ -146,7 +129,7 @@ let test_session_decomposed_agrees () =
       let a = Offline.F.Session.solve session jobs in
       let b = Offline.F.solve ~machines:inst.machines jobs in
       check_bool (Printf.sprintf "seed %d" seed) true (same_run a b);
-      (* Re-solving on the warm per-component workspaces changes nothing. *)
+      (* Re-solving on the warm workspace changes nothing. *)
       let a2 = Offline.F.Session.solve session jobs in
       check_bool (Printf.sprintf "seed %d warm" seed) true (same_run a2 b))
     [ 1; 2; 3 ]
@@ -175,8 +158,8 @@ let prop_decomposed_bitwise_random =
     QCheck.small_nat
     (fun seed ->
       let inst = random_instance (seed + 100) in
-      let d = Offline.run ~decompose:true inst in
-      let u = Offline.run ~decompose:false inst in
+      let d = Offline.run inst in
+      let u = reference inst in
       let p = Power.alpha 2.7 in
       same_run d u
       && Float.equal (Offline.energy_of_run p d) (Offline.energy_of_run p u)
@@ -188,8 +171,8 @@ let prop_decomposed_bitwise_clustered =
     QCheck.small_nat
     (fun seed ->
       let inst = clustered_instance (seed + 200) in
-      let d = Offline.run ~decompose:true inst in
-      let u = Offline.run ~decompose:false inst in
+      let d = Offline.run inst in
+      let u = reference inst in
       same_run d u)
 
 let prop_decomposed_segments_valid =
@@ -203,16 +186,6 @@ let prop_decomposed_segments_valid =
         (Offline.F.schedule_segments run)
       = [])
 
-let prop_parallel_deterministic =
-  QCheck.Test.make ~count:40 ~name:"parallel dispatch deterministic"
-    QCheck.small_nat
-    (fun seed ->
-      let inst = random_instance (seed + 400) in
-      let jobs = fjobs inst in
-      let seq = Offline.F.solve ~parallel:false ~machines:inst.machines jobs in
-      let par = Offline.F.solve ~parallel:true ~machines:inst.machines jobs in
-      same_run seq par && seq.stats = par.stats)
-
 let () =
   Alcotest.run "decomposition"
     [
@@ -220,12 +193,9 @@ let () =
         [
           Alcotest.test_case "clustered component count" `Quick
             test_clustered_component_count;
-          Alcotest.test_case "single component pass-through" `Quick
-            test_single_component_identical_path;
           Alcotest.test_case "all-singleton components" `Quick test_all_singletons;
           Alcotest.test_case "components partition the jobs" `Quick
             test_components_partition_and_order;
-          Alcotest.test_case "parallel = sequential" `Quick test_parallel_matches_sequential;
           Alcotest.test_case "session decomposed solves agree" `Quick
             test_session_decomposed_agrees;
           Alcotest.test_case "merged stats invariant" `Quick test_stats_invariant_decomposed;
@@ -236,6 +206,5 @@ let () =
             prop_decomposed_bitwise_random;
             prop_decomposed_bitwise_clustered;
             prop_decomposed_segments_valid;
-            prop_parallel_deterministic;
           ] );
     ]

@@ -86,7 +86,7 @@ let test_batch_matches_scratch () =
         if i mod 3 = 2 then disguise ~shift:(float_of_int (7 * (i mod 5))) ~wexp:(i mod 3) inst
         else inst)
   in
-  let scratch = Array.map (fun inst -> O.run ~parallel:false inst) queries in
+  let scratch = Array.map O.run queries in
   List.iter
     (fun domains ->
       let d = Dispatch.create ~domains ~capacity:64 () in
@@ -148,7 +148,7 @@ let test_cached_answer_equals_fresh_solve () =
     (fun (shift, wexp) ->
       let moved = disguise ~shift ~wexp inst in
       let from_cache = Dispatch.solve d moved in
-      let fresh = O.run ~parallel:false moved in
+      let fresh = O.run moved in
       check_bool
         (Printf.sprintf "shift=%g wexp=%d cached == fresh" shift wexp)
         true (same_run from_cache fresh))
@@ -278,7 +278,7 @@ let test_batch_crash_propagates () =
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* Dispatcher still answers after the failed batch. *)
   check_bool "usable after crash" true
-    (same_run (Dispatch.solve d good) (O.run ~parallel:false good));
+    (same_run (Dispatch.solve d good) (O.run good));
   Dispatch.shutdown d
 
 (* --- crew scheduling unit tests ----------------------------------------- *)

@@ -8,7 +8,7 @@
    speeds, procs and energy — and, on the dense substrate, where both read
    t_kj off a from-zero Dinic run of the same accepting network, on the
    alloc bit for bit — across generators, seeds, machine counts, the
-   decomposition layer, the compressed substrate (per-member totals,
+   decomposition layer every solve runs, the compressed substrate (per-member totals,
    since its oracle splits t_kj differently), the reference's
    flow-algorithm × victim-rule ablation grid and the exact field. *)
 
@@ -77,8 +77,7 @@ let instance_mix seed machines =
         ~mean_work:2.5 ~slack:2.2 () );
   ]
 
-(* Production over {dense, compressed} x {decomposed, whole} against the
-   reference. *)
+(* Production on both substrates against the reference. *)
 let test_float_matrix () =
   List.iter
     (fun machines ->
@@ -89,12 +88,12 @@ let test_float_matrix () =
               let jobs = float_jobs inst in
               let ref_ = Offline.F.Reference.solve ~machines:inst.machines jobs in
               List.iter
-                (fun (compress, decompose) ->
-                  let run = Offline.F.solve ~compress ~decompose ~machines:inst.machines jobs in
+                (fun compress ->
+                  let run = Offline.F.solve ~compress ~machines:inst.machines jobs in
                   check_float_agree ~bitwise_alloc:(not compress)
-                    (Printf.sprintf "%s compress=%b decompose=%b" name compress decompose)
+                    (Printf.sprintf "%s compress=%b" name compress)
                     ref_ run)
-                [ (false, true); (false, false); (true, true); (true, false) ])
+                [ false; true ])
             (instance_mix seed machines))
         [ 11; 12; 13 ])
     [ 1; 2; 4; 8 ]
@@ -149,28 +148,25 @@ let test_exact_agree () =
       in
       let jobs = exact_jobs inst in
       let ref_ = Offline.Exact.Reference.solve ~machines jobs in
-      List.iter
-        (fun decompose ->
-          let run = Offline.Exact.solve ~decompose ~compress:false ~machines jobs in
-          Alcotest.(check int) "exact: phase count"
-            (List.length ref_.schedule_phases)
-            (List.length run.schedule_phases);
+      let run = Offline.Exact.solve ~compress:false ~machines jobs in
+      Alcotest.(check int) "exact: phase count"
+        (List.length ref_.schedule_phases)
+        (List.length run.schedule_phases);
+      List.iter2
+        (fun (a : Offline.Exact.phase) (b : Offline.Exact.phase) ->
+          Alcotest.(check (list int)) "exact: members" a.members b.members;
+          Alcotest.(check bool) "exact: speed (exact equality)" true
+            (Rational.Field.equal a.speed b.speed);
+          Alcotest.(check (array int)) "exact: procs" a.procs b.procs;
+          Alcotest.(check int) "exact: alloc length" (List.length a.alloc)
+            (List.length b.alloc);
           List.iter2
-            (fun (a : Offline.Exact.phase) (b : Offline.Exact.phase) ->
-              Alcotest.(check (list int)) "exact: members" a.members b.members;
-              Alcotest.(check bool) "exact: speed (exact equality)" true
-                (Rational.Field.equal a.speed b.speed);
-              Alcotest.(check (array int)) "exact: procs" a.procs b.procs;
-              Alcotest.(check int) "exact: alloc length" (List.length a.alloc)
-                (List.length b.alloc);
-              List.iter2
-                (fun (i, j, t) (i', j', t') ->
-                  Alcotest.(check (pair int int)) "exact: alloc cell" (i, j) (i', j');
-                  Alcotest.(check bool) "exact: alloc time (exact equality)" true
-                    (Rational.Field.equal t t'))
-                a.alloc b.alloc)
-            ref_.schedule_phases run.schedule_phases)
-        [ true; false ];
+            (fun (i, j, t) (i', j', t') ->
+              Alcotest.(check (pair int int)) "exact: alloc cell" (i, j) (i', j');
+              Alcotest.(check bool) "exact: alloc time (exact equality)" true
+                (Rational.Field.equal t t'))
+            a.alloc b.alloc)
+        ref_.schedule_phases run.schedule_phases;
       (* Certify the float run against the exact one. *)
       let f = Offline.F.solve ~machines (float_jobs inst) in
       List.iter2

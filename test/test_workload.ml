@@ -203,6 +203,22 @@ let test_trace_comments_and_blanks () =
   Alcotest.(check int) "machines" 2 inst.machines;
   checkf "work parsed" 1. inst.jobs.(0).work
 
+let test_trace_batch_errors_name_instance () =
+  let raises text expected =
+    match Trace.batch_of_string text with
+    | exception Trace.Parse_error (line, msg) ->
+      Alcotest.(check string) "parse error" expected (Printf.sprintf "%d: %s" line msg)
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) "invalid instance" expected msg
+    | _ -> Alcotest.failf "accepted %S" text
+  in
+  (* An empty chunk is no instance; the second instance starts on file
+     line 6. *)
+  raises "\n---\nmachines 2\njob 0 1 1\n---\n# third\nmachines 2\njob 0 2 1\njob 3 1 1\n"
+    "instance 2 (line 6): Job.instance: job 1: release >= deadline";
+  raises "machines 2\njob 0 1 1\n---\nmachines 2\njob 0 1\n" "5: instance 2: unrecognized line: job 0 1";
+  raises "machines 1\njob 0 1 1\n---\njob 0 1 1\n" "4: instance 2: missing 'machines' line"
+
 let prop_trace_fuzz_never_crashes =
   QCheck.Test.make ~count:300 ~name:"parser rejects garbage gracefully"
     QCheck.(string_of_size (QCheck.Gen.int_range 0 80))
@@ -255,6 +271,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_trace_parse_errors;
           Alcotest.test_case "comments and blanks" `Quick test_trace_comments_and_blanks;
+          Alcotest.test_case "batch errors name the instance" `Quick
+            test_trace_batch_errors_name_instance;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

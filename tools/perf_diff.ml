@@ -150,7 +150,7 @@ let () =
       [
         ("solver", [ "rounds"; "resumes"; "edges"; "pushes" ]);
         ("online", [ "replans"; "rounds"; "resumes"; "carried_jobs" ]);
-        ("decomposition", [ "components"; "seq_speedup"; "speedup" ]);
+        ("decomposition", [ "components"; "solve_ms" ]);
         ("compressed", [ "rounds"; "compressed_rounds"; "dense_edges"; "speedup" ]);
         ("online_engine", [ "events"; "set_ops"; "segments"; "events_per_sec" ]);
         ( "throughput",
