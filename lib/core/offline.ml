@@ -15,7 +15,9 @@
    total P), the conjecture is correct and the flow values on job->interval
    edges are the execution times t_kj.  Otherwise some sink edge is
    unsaturated; any job with a non-full edge into such an interval provably
-   does not belong to J_i (Lemma 4) and is removed for the next round.
+   does not belong to J_i (Lemma 4), nor does any job that reaches such an
+   interval in the residual graph (see Residual_closure); all of them are
+   removed for the next round.
 
    The module is a functor over an ordered field: instantiated at floats
    for speed and at exact rationals to certify the float run. *)
@@ -110,7 +112,6 @@ struct
     mutable used : int array;
     mutable remaining : bool array;
     mutable candidate : bool array;
-    mutable victim_mark : bool array;
     mutable nj : int array;
     mutable procs : int array;
     mutable job_vertex : int array;
@@ -118,6 +119,7 @@ struct
     mutable source_edge : int array;
     mutable sink_edge : int array;
     mutable job_edge : int array;   (* flat [i * k + j] edge ids, -1 = absent *)
+    closure : Residual_closure.t;   (* certification marks and worklist *)
     mutable grows : int;            (* solves that had to grow the arena *)
     (* The EDF-sweep oracle's scratch arrays (the [compress] path); the
        dense path never reads them. *)
@@ -149,7 +151,6 @@ struct
       used = [||];
       remaining = [||];
       candidate = [||];
-      victim_mark = [||];
       nj = [||];
       procs = [||];
       job_vertex = [||];
@@ -157,6 +158,7 @@ struct
       source_edge = [||];
       sink_edge = [||];
       job_edge = [||];
+      closure = Residual_closure.create ();
       grows = 0;
       sweep_order = [||];
       sweep_bucket = [||];
@@ -189,7 +191,6 @@ struct
       ws.last_ivl <- Array.make n' 0;
       ws.remaining <- Array.make n' false;
       ws.candidate <- Array.make n' false;
-      ws.victim_mark <- Array.make n' false;
       ws.job_vertex <- Array.make n' (-1);
       ws.source_edge <- Array.make n' (-1);
       ws.nslots <- n';
@@ -226,11 +227,12 @@ struct
      Every solve runs one loop.  A phase conjectures that all remaining
      jobs form the next class and takes a maximum flow of the Fig. 1
      network.  A failed round removes *every* job that flow certifies —
-     a non-full edge into an unsaturated interval (Lemma 4) — and tries
-     again.  All certificates refer to the same maximum flow, so each
-     removal is sound on its own, and the accepted class is the unique
-     fixed point of certified removals: grouping them changes the round
-     count, never the phase partition, speeds or reservations.
+     every candidate that reaches an unsaturated interval in the flow's
+     residual graph, Lemma 4's victims included (soundness: see
+     Residual_closure) — and tries again.  Each removal is sound on its
+     own, and the accepted class is the unique fixed point of certified
+     removals: grouping them changes the round count, never the phase
+     partition, speeds or reservations.
 
      Dense substrate: one network serves the whole solve.  It is built
      for the first phase; after that, a failed round and a phase boundary
@@ -415,31 +417,40 @@ struct
     done;
     { members = !members; speed; procs = Array.sub ws.procs 0 k; alloc = !alloc }
 
-  (* Lemma 4 certificates of a failed round: every candidate with a
-     non-full edge into an unsaturated interval, in index order. *)
-  let certified ws ~n ~k ~sink_flow ~pair_flow =
-    let mark = ws.victim_mark in
-    Array.fill mark 0 n false;
-    let found = ref false in
-    for j = 0 to k - 1 do
-      if ws.procs.(j) > 0 && not (F.equal_approx (sink_flow j) (sink_cap ws j)) then
-        for i = 0 to n - 1 do
-          if
-            ws.candidate.(i) && (not mark.(i))
-            && ws.first_ivl.(i) <= j && j <= ws.last_ivl.(i)
-            && not (F.equal_approx (pair_flow i j) ws.widths.(j))
-          then begin
-            mark.(i) <- true;
-            found := true
-          end
-        done
-    done;
-    if not !found then failwith "Offline.solve: flow deficit without a certified victim";
-    let victims = ref [] in
-    for i = n - 1 downto 0 do
-      if mark.(i) then victims := i :: !victims
-    done;
-    !victims
+  (* The certified victims of a failed round: every candidate that reaches
+     an unsaturated interval in the residual graph of the round's maximum
+     flow (Lemma 4 across the residual graph, see [Residual_closure]), in
+     index order.  The substrate supplies the three boolean flow reads. *)
+  let certified ws ~n ~k (sink_open, pair_open, pair_flowing) =
+    match
+      Residual_closure.victims ws.closure ~n ~k ~candidate:ws.candidate
+        ~first_ivl:ws.first_ivl ~last_ivl:ws.last_ivl ~sink_open ~pair_open ~pair_flowing
+    with
+    | [] -> failwith "Offline.solve: flow deficit without a certified victim"
+    | victims -> victims
+
+  (* The certification reads of the installed dense network.  Job and
+     sink edges keep capacities |I_j| and m_ij |I_j| (the rewind sets the
+     latter before each flow), so [Flow.saturated] is the same test as
+     comparing the flow with those capacities, without boxing it.  An
+     absent job edge reads as an empty one. *)
+  let dense_reads ws ~k =
+    let g = ws.g in
+    ( (fun j -> ws.procs.(j) > 0 && not (Flow.saturated g ws.sink_edge.(j))),
+      (fun i j ->
+        let e = ws.job_edge.((i * k) + j) in
+        if e >= 0 then not (Flow.saturated g e)
+        else not (F.equal_approx F.zero ws.widths.(j))),
+      fun i j ->
+        let e = ws.job_edge.((i * k) + j) in
+        e >= 0 && Flow.flowing g e )
+
+  (* The same reads of the sweep oracle's flow. *)
+  let sweep_reads ws ~k =
+    ( (fun j ->
+        ws.procs.(j) > 0 && not (F.equal_approx ws.sweep_sink.(j) (sink_cap ws j))),
+      (fun i j -> not (F.equal_approx ws.sweep_flow.((i * k) + j) ws.widths.(j))),
+      fun i j -> F.sign ws.sweep_flow.((i * k) + j) > 0 )
 
   (* Size the sweep oracle's scratch for an [n]-job, [k]-interval solve
      and order the jobs by first interval: a counting sort, stable, so
@@ -931,7 +942,7 @@ struct
     let pair_flow =
       if use_compress then fun i j -> ws.sweep_flow.((i * k) + j) else dense_pair ws ~k
     in
-    let sink_flow = if use_compress then fun j -> ws.sweep_sink.(j) else dense_sink ws in
+    let reads = if use_compress then sweep_reads ws ~k else dense_reads ws ~k in
     run_phases ~ws ~machines ~breakpoints jobs (fun idx t ->
         let total_time, speed = conjecture ws jobs ~n ~k in
         if not use_compress then
@@ -943,8 +954,7 @@ struct
             (* Phase boundary: the accepted flow is supported on the
                accepted members alone (victims left at zero capacity), so
                count its edges, then rewind to the next conjecture. *)
-            Flow.iter_edges g (fun ~id:_ ~src:_ ~dst:_ ~cap:_ ~flow ->
-                if F.sign flow > 0 then t.n_drained <- t.n_drained + 1);
+            t.n_drained <- t.n_drained + Flow.count_flowing g;
             t.n_phase_resumes <- t.n_phase_resumes + 1;
             rewind ws jobs ~n ~k ~speed
           end;
@@ -956,7 +966,7 @@ struct
           in
           if F.equal_approx value total_time then class_of ws ~n ~k ~speed pair_flow
           else begin
-            let victims = certified ws ~n ~k ~sink_flow ~pair_flow in
+            let victims = certified ws ~n ~k reads in
             if List.compare_length_with victims 1 > 0 then t.n_grouped <- t.n_grouped + 1;
             List.iter
               (fun v ->
@@ -1070,18 +1080,25 @@ struct
      seen (touching at a point is a cut — no window strictly contains it).
      Returns the components in time order, each an ascending array of
      indices into [jobs], so per-component solves visit jobs in the same
-     order as the global solver. *)
+     order as the global solver.  Releases already non-decreasing in index
+     order (every OA replan: all its jobs are released at once) are their
+     own release order, so the sort is skipped. *)
   let components (jobs : job array) =
     let n = Array.length jobs in
     if n = 0 then []
     else begin
       let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          match F.compare jobs.(a).release jobs.(b).release with
-          | 0 -> Int.compare a b
-          | c -> c)
-        order;
+      let sorted = ref true in
+      for i = 1 to n - 1 do
+        if F.compare jobs.(i - 1).release jobs.(i).release > 0 then sorted := false
+      done;
+      if not !sorted then
+        Array.sort
+          (fun a b ->
+            match F.compare jobs.(a).release jobs.(b).release with
+            | 0 -> Int.compare a b
+            | c -> c)
+          order;
       let comps = ref [] in
       let current = ref [ order.(0) ] in
       let cur_end = ref jobs.(order.(0)).deadline in
@@ -1258,7 +1275,7 @@ struct
       solves : int;
       rounds : int;             (* cumulative max-flow computations *)
       resumes : int;            (* cumulative in-place rewinds *)
-      removals : int;           (* cumulative Lemma 4 removals *)
+      removals : int;           (* cumulative certified removals *)
       grouped_rounds : int;     (* failed rounds that removed > 1 victim *)
       carried_jobs : int;       (* keys also planned by an earlier solve *)
       monotone_carried : int;   (* carried keys whose speed did not drop *)

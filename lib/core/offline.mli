@@ -33,7 +33,9 @@ module MakeWith
         (** failed rounds answered by an in-place rewind of the dense
             network instead of a rebuild; 0 on compressed solves and in
             {!Reference} runs *)
-    removals : int;  (** Lemma 4 job removals *)
+    removals : int;
+        (** certified job removals: Lemma 4 victims and the rest of their
+            residual closure (see {!solve}) *)
     grouped : int;
         (** failed rounds that removed more than one certified victim at
             once (always 0 in {!Reference} runs) *)
@@ -87,7 +89,9 @@ module MakeWith
     run
   (** The round loop (Fig. 2), one for every solve.  A phase conjectures
       that all remaining jobs form the next class; a failed round removes
-      {e every} job its maximum flow certifies (Lemma 4) at once.  The
+      {e every} job its maximum flow certifies at once: the candidates
+      that reach an unsaturated interval in the flow's residual graph
+      ({!Residual_closure}), which include every Lemma 4 victim.  The
       accepted class is the unique fixed point of certified removals, so
       the phases, speeds, reservations and energy equal {!Reference}'s;
       only the round and removal counters differ.  On the dense substrate
@@ -188,7 +192,7 @@ module MakeWith
       resumes : int;
           (** cumulative in-place arena rewinds (failed rounds answered
               without rebuilding the network topology) *)
-      removals : int;  (** cumulative Lemma 4 removals *)
+      removals : int;  (** cumulative certified removals *)
       grouped_rounds : int;  (** failed rounds that removed > 1 victim *)
       carried_jobs : int;  (** keys also planned by an earlier solve *)
       monotone_carried : int;

@@ -6,7 +6,8 @@
    the PWL-LP baseline (whose size per instance is also reported).
 
    A second table pushes the practicality claim further: the production
-   round loop removes every certified Lemma 4 victim at once and rewinds
+   round loop removes every certified victim at once (the residual
+   closure of the Lemma 4 victims) and rewinds
    one network in place (see lib/core/offline.ml), and we measure it
    against the paper-literal reference, which rebuilds the network and
    removes one victim per round. *)

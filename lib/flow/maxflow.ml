@@ -199,9 +199,19 @@ module Make (F : Ss_numeric.Field.S) = struct
       g.queue <- Array.make len 0
     end
 
-  (* Dinic: BFS level graph, then DFS blocking flow with arc pointers.
-     Augments the installed flow (zero on a fresh or reset network) and
-     returns the amount added. *)
+  (* Dinic: BFS level graph, then blocking flows along admissible arcs with
+     per-vertex arc cursors.  The blocking-flow search is iterative: the
+     current path from the source is a stack of edge ids kept in [queue],
+     which the BFS has finished with.  A path that reaches the sink is
+     augmented by its bottleneck (the running minimum of its residuals,
+     taken from the source outwards, starting at an upper bound on any
+     augmentation); the search then restarts from the source, whose arc
+     cursors skip the arcs the push saturated.  A vertex whose cursor runs
+     out is a dead end: retreat one edge and advance the predecessor's
+     cursor past it.  Flows change only between searches, so every path,
+     bottleneck and push is the one a recursive depth-first search would
+     make.  Augments the installed flow (zero on a fresh or reset network)
+     and returns the amount added. *)
   let dinic g ~source ~sink =
     if source = sink then invalid_arg "Maxflow.dinic: source = sink";
     fit_scratch g;
@@ -229,46 +239,51 @@ module Make (F : Ss_numeric.Field.S) = struct
       done;
       level.(sink) >= 0
     in
-    let rec dfs u limit =
-      if u = sink then limit
-      else begin
-        let result = ref F.zero in
-        let continue = ref true in
-        while !continue && iter.(u) >= 0 do
-          let e = iter.(u) in
-          let v = g.dst.(e) in
-          let r = residual g e in
-          if level.(v) = level.(u) + 1 && positive r then begin
-            let pushed = dfs v (F.min limit r) in
-            if positive pushed then begin
-              push g e pushed;
-              result := pushed;
-              continue := false
-            end
-            else iter.(u) <- g.next.(e)
-          end
-          else iter.(u) <- g.next.(e)
-        done;
-        !result
-      end
-    in
     (* An upper bound on any augmentation: total capacity out of source. *)
     let infinity_ =
       let acc = ref F.one in
       iter_adj g source (fun e -> acc := F.add !acc g.cap.(e));
       !acc
     in
+    let path = queue in
     let total = ref F.zero in
     while bfs () do
       Array.blit g.head 0 iter 0 g.n;
-      let rec drain () =
-        let f = dfs source infinity_ in
-        if positive f then begin
-          total := F.add !total f;
-          drain ()
+      let u = ref source and depth = ref 0 and blocked = ref false in
+      while not !blocked do
+        if !u = sink then begin
+          let b = ref infinity_ in
+          for d = 0 to !depth - 1 do
+            b := F.min !b (residual g path.(d))
+          done;
+          for d = !depth - 1 downto 0 do
+            push g path.(d) !b
+          done;
+          total := F.add !total !b;
+          u := source;
+          depth := 0
         end
-      in
-      drain ()
+        else begin
+          let lu = level.(!u) + 1 in
+          let e = ref iter.(!u) in
+          while !e >= 0 && not (level.(g.dst.(!e)) = lu && positive (residual g !e)) do
+            e := g.next.(!e)
+          done;
+          iter.(!u) <- !e;
+          if !e >= 0 then begin
+            path.(!depth) <- !e;
+            incr depth;
+            u := g.dst.(!e)
+          end
+          else if !depth = 0 then blocked := true
+          else begin
+            decr depth;
+            let back = path.(!depth) in
+            u := g.dst.(back lxor 1);
+            iter.(!u) <- g.next.(back)
+          end
+        end
+      done
     done;
     !total
 
@@ -555,10 +570,15 @@ module Make (F : Ss_numeric.Field.S) = struct
   let num_vertices g = g.n
   let num_edges g = g.m / 2
 
-  let iter_edges g f =
-    for e = 0 to g.m - 1 do
-      if e land 1 = 0 then f ~id:e ~src:g.dst.(e lxor 1) ~dst:g.dst.(e) ~cap:g.cap.(e) ~flow:g.flow.(e)
-    done
+  let saturated g e = F.equal_approx g.flow.(e) g.cap.(e)
+  let flowing g e = positive g.flow.(e)
+
+  let count_flowing g =
+    let c = ref 0 in
+    for e = 0 to (g.m / 2) - 1 do
+      if positive g.flow.(2 * e) then incr c
+    done;
+    !c
 end
 
 module Float = struct
@@ -603,6 +623,10 @@ module Float = struct
 
   let reset_flows (g : t) = Array.fill g.flow 0 g.m 0.
 
+  (* The iterative [dinic] above on unboxed arrays.  The bottleneck is
+     kept as [if r < b then r else b], which is [Float.min b r] on the
+     positive residuals the search compares; the float refs never escape,
+     so the search allocates nothing. *)
   let dinic (g : t) ~source ~sink =
     if source = sink then invalid_arg "Maxflow.dinic: source = sink";
     fit_scratch g;
@@ -632,53 +656,76 @@ module Float = struct
       done;
       level.(sink) >= 0
     in
-    let rec dfs u limit =
-      if u = sink then limit
-      else begin
-        let result = ref 0. in
-        let continue = ref true in
-        while !continue && iter.(u) >= 0 do
-          let e = iter.(u) in
-          let v = dst.(e) in
-          let r = cap.(e) -. flow.(e) in
-          if level.(v) = level.(u) + 1 && positive_f r then begin
-            let pushed = dfs v (Float.min limit r) in
-            if positive_f pushed then begin
-              g.pushes <- g.pushes + 1;
-              flow.(e) <- flow.(e) +. pushed;
-              flow.(e lxor 1) <- flow.(e lxor 1) -. pushed;
-              result := pushed;
-              continue := false
-            end
-            else iter.(u) <- next.(e)
-          end
-          else iter.(u) <- next.(e)
-        done;
-        !result
-      end
-    in
-    let infinity_ =
-      let acc = ref 1. in
-      let e = ref head_.(source) in
-      while !e >= 0 do
-        acc := !acc +. cap.(!e);
-        e := next.(!e)
-      done;
-      !acc
-    in
+    let infinity_ = ref 1. in
+    let e = ref head_.(source) in
+    while !e >= 0 do
+      infinity_ := !infinity_ +. cap.(!e);
+      e := next.(!e)
+    done;
+    let path = queue in
     let total = ref 0. in
     while bfs () do
       Array.blit head_ 0 iter 0 g.n;
-      let rec drain () =
-        let f = dfs source infinity_ in
-        if positive_f f then begin
-          total := !total +. f;
-          drain ()
+      let u = ref source and depth = ref 0 and blocked = ref false in
+      while not !blocked do
+        if !u = sink then begin
+          let b = ref !infinity_ in
+          for d = 0 to !depth - 1 do
+            let e = path.(d) in
+            let r = cap.(e) -. flow.(e) in
+            if r < !b then b := r
+          done;
+          for d = !depth - 1 downto 0 do
+            let e = path.(d) in
+            g.pushes <- g.pushes + 1;
+            flow.(e) <- flow.(e) +. !b;
+            flow.(e lxor 1) <- flow.(e lxor 1) -. !b
+          done;
+          total := !total +. !b;
+          u := source;
+          depth := 0
         end
-      in
-      drain ()
+        else begin
+          let lu = level.(!u) + 1 in
+          let e = ref iter.(!u) in
+          while !e >= 0 && not (level.(dst.(!e)) = lu && positive_f (cap.(!e) -. flow.(!e))) do
+            e := next.(!e)
+          done;
+          iter.(!u) <- !e;
+          if !e >= 0 then begin
+            path.(!depth) <- !e;
+            incr depth;
+            u := dst.(!e)
+          end
+          else if !depth = 0 then blocked := true
+          else begin
+            decr depth;
+            let back = path.(!depth) in
+            u := dst.(back lxor 1);
+            iter.(!u) <- next.(back)
+          end
+        end
+      done
     done;
     !total
+
+  (* = [F.equal_approx flow cap]: [Field.Float]'s relative tolerance with
+     its two [Float.max]es written out for non-negative operands (equal
+     results, NaN included), so the read boxes nothing. *)
+  let saturated (g : t) e =
+    let f = g.flow.(e) and c = g.cap.(e) in
+    let af = Float.abs f and ac = Float.abs c in
+    let m = if ac > af then ac else af in
+    Float.abs (f -. c) <= tolerance *. (if m > 1. then m else 1.)
+
+  let flowing (g : t) e = positive_f g.flow.(e)
+
+  let count_flowing (g : t) =
+    let flow = g.flow and c = ref 0 in
+    for e = 0 to (g.m / 2) - 1 do
+      if positive_f flow.(2 * e) then incr c
+    done;
+    !c
 
   let flow_value (g : t) ~source =
     let acc = ref 0. in

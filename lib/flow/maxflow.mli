@@ -97,8 +97,15 @@ module Make (F : Ss_numeric.Field.S) : sig
   val num_vertices : t -> int
   val num_edges : t -> int
 
-  val iter_edges :
-    t -> (id:int -> src:int -> dst:int -> cap:F.t -> flow:F.t -> unit) -> unit
+  val saturated : t -> int -> bool
+  (** Whether edge [e] carries its capacity, up to the field's tolerance
+      ([F.equal_approx (flow_on g e) cap]). *)
+
+  val flowing : t -> int -> bool
+  (** Whether edge [e] carries positive flow ([F.sign (flow_on g e) > 0]). *)
+
+  val count_flowing : t -> int
+  (** Number of forward edges carrying positive flow. *)
 end
 
 module Float : module type of Make (Ss_numeric.Field.Float)

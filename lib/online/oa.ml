@@ -43,7 +43,9 @@ type info = {
 
 let default_tol = 1e-9
 
-let run_detailed ?(tol = default_tol) ?stats (inst : Job.instance) =
+(* The simulation; the replanning history is built only when [record]
+   asks for it ([run_detailed]), so [run] pays for no per-replan lists. *)
+let simulate ~record ?(tol = default_tol) ?stats (inst : Job.instance) =
   (match Job.validate inst with
   | [] -> ()
   | _ -> invalid_arg "Oa.run: invalid instance");
@@ -60,16 +62,18 @@ let run_detailed ?(tol = default_tol) ?stats (inst : Job.instance) =
     (* Every job of a replanning sub-instance is released at [now], so it
        is always one component: decomposition has nothing to split. *)
     let run = Offline.F.Session.solve ~keys:ids session sub_jobs in
-    (* Planned speed of every live job (its class speed). *)
-    let job_speeds =
-      List.concat_map
-        (fun (ph : Offline.F.phase) ->
-          List.map (fun local -> (ids.(local), ph.speed)) ph.members)
-        run.schedule_phases
-      |> List.sort (fun (i1, s1) (i2, s2) ->
-             match Int.compare i1 i2 with 0 -> Float.compare s1 s2 | c -> c)
-    in
-    plans := { at = now; upto; job_speeds } :: !plans;
+    if record then begin
+      (* Planned speed of every live job (its class speed). *)
+      let job_speeds =
+        List.concat_map
+          (fun (ph : Offline.F.phase) ->
+            List.map (fun local -> (ids.(local), ph.speed)) ph.members)
+          run.schedule_phases
+        |> List.sort (fun (i1, s1) (i2, s2) ->
+               match Int.compare i1 i2 with 0 -> Float.compare s1 s2 | c -> c)
+      in
+      plans := { at = now; upto; job_speeds } :: !plans
+    end;
     (* Follow the plan until the next arrival, materializing only that
        slice; remap to original ids. *)
     List.map
@@ -91,13 +95,13 @@ let run_detailed ?(tol = default_tol) ?stats (inst : Job.instance) =
   in
   (schedule, info, List.rev !plans)
 
+let run_detailed ?tol ?stats inst = simulate ~record:true ?tol ?stats inst
+
 let run ?tol ?stats inst =
-  let schedule, info, _ = run_detailed ?tol ?stats inst in
+  let schedule, info, _ = simulate ~record:false ?tol ?stats inst in
   (schedule, info)
 
-let schedule ?tol inst =
-  let s, _, _ = run_detailed ?tol inst in
-  s
+let schedule ?tol inst = fst (run ?tol inst)
 
 let energy ?tol power inst = Schedule.energy power (schedule ?tol inst)
 

@@ -19,7 +19,7 @@ type info = {
       (** failed rounds answered by in-place arena rewinds instead of
           network rebuilds *)
   grouped_rounds : int;
-      (** failed rounds that cleared more than one Lemma 4 victim at once *)
+      (** failed rounds that cleared more than one certified victim at once *)
   carried_jobs : int;  (** live jobs carried over from an earlier replan *)
   monotone_carried : int;
       (** carried jobs whose planned speed never decreased — Lemma 7
@@ -48,7 +48,9 @@ val run :
   ?stats:Engine.counters ->
   Ss_model.Job.instance ->
   Ss_model.Schedule.t * info
-(** @raise Invalid_argument on invalid instances. *)
+(** The simulation of {!run_detailed} without the replanning history,
+    which it never builds.
+    @raise Invalid_argument on invalid instances. *)
 
 val schedule : ?tol:float -> Ss_model.Job.instance -> Ss_model.Schedule.t
 

@@ -3,6 +3,7 @@
    properties and the exact-rational instantiation. *)
 
 module MF = Ss_flow.Maxflow.Float
+module MG = Ss_flow.Maxflow.Make (Ss_numeric.Field.Float)
 module MQ = Ss_flow.Maxflow.Exact
 module Q = Ss_numeric.Rational
 
@@ -195,6 +196,77 @@ let prop_integral_capacities_integral_flow =
       | Some (lp, _) -> Float.abs (v -. lp) <= 1e-6 *. (1. +. v)
       | None -> false)
 
+(* The float-monomorphic substrate mirrors the generic one on the float
+   field operation for operation: the same max flow, bit for bit, on every
+   edge, the same work counters, and the same boolean flow reads — first
+   from zero, then augmenting the installed flow after some capacities
+   grow.  Capacities below 1 are zeroed so that empty edges occur too. *)
+let prop_float_mirrors_generic =
+  QCheck.Test.make ~count:200 ~name:"Float.dinic = generic dinic, bitwise" QCheck.small_nat
+    (fun seed ->
+      let n, edges = random_network (seed + 6000) in
+      let edges = List.map (fun (s, d, c) -> (s, d, if c < 1. then 0. else c)) edges in
+      let gf = MF.create ~n and gg = MG.create ~n in
+      let ids =
+        List.map
+          (fun (src, dst, cap) ->
+            let e = MF.add_edge gf ~src ~dst ~cap in
+            assert (e = MG.add_edge gg ~src ~dst ~cap);
+            e)
+          edges
+      in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let agree vf vg =
+        same vf vg
+        && List.for_all
+             (fun e ->
+               same (MF.flow_on gf e) (MG.flow_on gg e)
+               && Bool.equal (MF.saturated gf e) (MG.saturated gg e)
+               && Bool.equal (MF.flowing gf e) (MG.flowing gg e))
+             ids
+        && MF.count_flowing gf = MG.count_flowing gg
+        && (MF.counters gf).pushes = (MG.counters gg).pushes
+        && (MF.counters gf).bfs_waves = (MG.counters gg).bfs_waves
+      in
+      let first = agree (MF.dinic gf ~source:0 ~sink:(n - 1)) (MG.dinic gg ~source:0 ~sink:(n - 1)) in
+      List.iteri
+        (fun idx (e, (_, _, cap)) ->
+          if idx mod 3 = 0 then begin
+            MF.set_capacity gf e ~cap:(cap +. 2.5);
+            MG.set_capacity gg e ~cap:(cap +. 2.5)
+          end)
+        (List.combine ids edges);
+      first && agree (MF.dinic gf ~source:0 ~sink:(n - 1)) (MG.dinic gg ~source:0 ~sink:(n - 1)))
+
+(* The float reads at the tolerance floor: near-full edges below 1 (where
+   [Field.Float]'s tolerance is the absolute 1e-9) and flows at or below
+   it, on both substrates. *)
+let test_float_reads_at_floor () =
+  let edges =
+    [ (0, 1, 0.5); (1, 2, 0.5 -. 8e-10); (0, 2, 5e-10); (0, 3, 0.25); (3, 2, 0.25 -. 2e-9);
+      (0, 4, 3.); (4, 2, 3. -. 4e-9) ]
+  in
+  let gf = MF.create ~n:5 and gg = MG.create ~n:5 in
+  let ids =
+    List.map
+      (fun (src, dst, cap) ->
+        ignore (MG.add_edge gg ~src ~dst ~cap);
+        MF.add_edge gf ~src ~dst ~cap)
+      edges
+  in
+  ignore (MF.dinic gf ~source:0 ~sink:2);
+  ignore (MG.dinic gg ~source:0 ~sink:2);
+  let reads sat flowing g = List.map (fun e -> (sat g e, flowing g e)) ids in
+  Alcotest.(check (list (pair bool bool)))
+    "float reads = generic reads"
+    (reads MG.saturated MG.flowing gg)
+    (reads MF.saturated MF.flowing gf);
+  Alcotest.(check (list (pair bool bool)))
+    "expected reads"
+    [ (true, true); (true, true); (true, false); (false, true); (true, true); (false, true); (true, true) ]
+    (reads MF.saturated MF.flowing gf);
+  Alcotest.(check int) "count_flowing" (MG.count_flowing gg) (MF.count_flowing gf)
+
 let () =
   Alcotest.run "flow"
     [
@@ -213,6 +285,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "flow value" `Quick test_flow_value_accessor;
           Alcotest.test_case "exact field" `Quick test_exact_field;
+          Alcotest.test_case "float reads at the tolerance floor" `Quick test_float_reads_at_floor;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -224,5 +297,6 @@ let () =
             prop_flow_audits_clean;
             prop_maxflow_mincut;
             prop_integral_capacities_integral_flow;
+            prop_float_mirrors_generic;
           ] );
     ]

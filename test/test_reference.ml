@@ -195,6 +195,201 @@ let test_pipeline_energy_agrees () =
         info.resumes)
     [ 51; 52; 53 ]
 
+(* --- the residual-closure certification ---------------------------------
+   A replay of every phase of a reference run, round by round, on a Fig. 1
+   network of its own, with a chosen max-flow algorithm (each picks a
+   different maximum flow).  At every failed round the closure's victims
+   must contain the Lemma 4 victims (computed here directly: candidates
+   with a non-full edge into an unsaturated interval, which must exist)
+   and contain no member of the class the phase accepts; removing the
+   closure must lead to exactly that class.  Returns the replay's round
+   count. *)
+module Replay (F : Ss_numeric.Field.S) (Flow : module type of Ss_flow.Maxflow.Make (F)) =
+struct
+  type algo = Dinic | Edmonds_karp | Push_relabel
+
+  (* [jobs] as (release, deadline, work); [classes] the reference's phase
+     members in phase order. *)
+  let run ~algo ~machines (jobs : (F.t * F.t * F.t) array) (classes : int list list) =
+    let n = Array.length jobs in
+    let bp =
+      Array.of_list
+        (List.sort_uniq F.compare
+           (List.concat_map (fun (r, d, _) -> [ r; d ]) (Array.to_list jobs)))
+    in
+    let k = Array.length bp - 1 in
+    let index t =
+      let j = ref 0 in
+      while F.compare bp.(!j) t < 0 do incr j done;
+      !j
+    in
+    let first_ivl = Array.map (fun (r, _, _) -> index r) jobs in
+    let last_ivl = Array.map (fun (_, d, _) -> index d - 1) jobs in
+    let width j = F.sub bp.(j + 1) bp.(j) in
+    let used = Array.make k 0 and remaining = Array.make n true in
+    let closure = Ss_core.Residual_closure.create () in
+    let rounds = ref 0 and ok = ref true in
+    List.iter
+      (fun members ->
+        let candidate = Array.copy remaining in
+        let accepted = ref false in
+        while not !accepted do
+          incr rounds;
+          let nj = Array.make k 0 in
+          Array.iteri
+            (fun i c ->
+              if c then
+                for j = first_ivl.(i) to last_ivl.(i) do nj.(j) <- nj.(j) + 1 done)
+            candidate;
+          let procs = Array.init k (fun j -> Int.min nj.(j) (machines - used.(j))) in
+          let cap j = F.mul (F.of_int procs.(j)) (width j) in
+          let time = ref F.zero and work = ref F.zero in
+          for j = 0 to k - 1 do time := F.add !time (cap j) done;
+          Array.iteri
+            (fun i (_, _, w) -> if candidate.(i) then work := F.add !work w)
+            jobs;
+          let speed = F.div !work !time in
+          (* 0 = source, 1 = sink, 2 + i = job i, 2 + n + j = interval j. *)
+          let g = Flow.create ~n:(n + k + 2) in
+          let pair = Array.make (n * k) (-1) and sink = Array.make k (-1) in
+          Array.iteri
+            (fun i (_, _, w) ->
+              if candidate.(i) then begin
+                ignore (Flow.add_edge g ~src:0 ~dst:(2 + i) ~cap:(F.div w speed));
+                for j = first_ivl.(i) to last_ivl.(i) do
+                  if procs.(j) > 0 then
+                    pair.((i * k) + j) <-
+                      Flow.add_edge g ~src:(2 + i) ~dst:(2 + n + j) ~cap:(width j)
+                done
+              end)
+            jobs;
+          for j = 0 to k - 1 do
+            if procs.(j) > 0 then sink.(j) <- Flow.add_edge g ~src:(2 + n + j) ~dst:1 ~cap:(cap j)
+          done;
+          let value =
+            match algo with
+            | Dinic -> Flow.dinic g ~source:0 ~sink:1
+            | Edmonds_karp -> Flow.edmonds_karp g ~source:0 ~sink:1
+            | Push_relabel -> Flow.push_relabel g ~source:0 ~sink:1
+          in
+          let in_class i = List.mem i members in
+          if F.equal_approx value !time then begin
+            accepted := true;
+            let cands = List.filter (fun i -> candidate.(i)) (List.init n Fun.id) in
+            if not (List.equal Int.equal cands members) then ok := false
+          end
+          else begin
+            let pair_flow i j =
+              let e = pair.((i * k) + j) in
+              if e >= 0 then Flow.flow_on g e else F.zero
+            in
+            let sink_open j =
+              procs.(j) > 0 && not (F.equal_approx (Flow.flow_on g sink.(j)) (cap j))
+            in
+            let pair_open i j = not (F.equal_approx (pair_flow i j) (width j)) in
+            let lemma4 =
+              List.filter
+                (fun i ->
+                  candidate.(i)
+                  && List.exists
+                       (fun j -> sink_open j && pair_open i j)
+                       (List.init (last_ivl.(i) - first_ivl.(i) + 1) (fun d -> first_ivl.(i) + d)))
+                (List.init n Fun.id)
+            in
+            let victims =
+              Ss_core.Residual_closure.victims closure ~n ~k ~candidate ~first_ivl ~last_ivl
+                ~sink_open ~pair_open
+                ~pair_flowing:(fun i j -> F.sign (pair_flow i j) > 0)
+            in
+            if
+              lemma4 = []
+              || not (List.for_all (fun i -> List.mem i victims) lemma4)
+              || List.exists in_class victims
+            then begin
+              ok := false;
+              accepted := true
+            end
+            else List.iter (fun i -> candidate.(i) <- false) victims
+          end
+        done;
+        List.iter (fun i -> remaining.(i) <- false) members;
+        let procs = Array.make k 0 in
+        List.iter
+          (fun i -> for j = first_ivl.(i) to last_ivl.(i) do procs.(j) <- procs.(j) + 1 done)
+          members;
+        Array.iteri (fun j c -> used.(j) <- used.(j) + Int.min c (machines - used.(j))) procs)
+      classes;
+    if !ok then Some !rounds else None
+end
+
+module Replay_float = Replay (Ss_numeric.Field.Float) (Ss_flow.Maxflow.Float)
+module Replay_exact = Replay (Rational.Field) (Ss_flow.Maxflow.Exact)
+
+let random_instance seed ~jobs =
+  let machines = 1 + (seed mod 4) in
+  if seed mod 2 = 0 then
+    Ss_workload.Generators.uniform ~seed ~machines ~jobs ~horizon:15. ~max_work:4. ()
+  else
+    Ss_workload.Generators.poisson ~seed ~machines ~jobs ~rate:1.2 ~mean_work:2.5 ~slack:2. ()
+
+let prop_closure_float =
+  QCheck.Test.make ~count:60
+    ~name:"float: closure victims contain Lemma 4's, none in the class, any max flow"
+    QCheck.small_nat (fun seed ->
+      let inst = random_instance (seed + 700) ~jobs:(6 + (seed mod 7)) in
+      let ref_ = Offline.F.Reference.solve ~machines:inst.machines (float_jobs inst) in
+      let classes = List.map (fun (p : Offline.F.phase) -> p.members) ref_.schedule_phases in
+      let jobs = Array.map (fun (j : Job.t) -> (j.release, j.deadline, j.work)) inst.jobs in
+      List.for_all
+        (fun algo ->
+          match Replay_float.run ~algo ~machines:inst.machines jobs classes with
+          | Some rounds -> rounds <= ref_.stats.rounds
+          | None -> false)
+        [ Replay_float.Dinic; Edmonds_karp; Push_relabel ])
+
+let prop_closure_exact =
+  QCheck.Test.make ~count:25
+    ~name:"exact: closure victims contain Lemma 4's, none in the class, any max flow"
+    QCheck.small_nat (fun seed ->
+      let inst = random_instance (seed + 900) ~jobs:(4 + (seed mod 4)) in
+      let ref_ = Offline.Exact.Reference.solve ~machines:inst.machines (exact_jobs inst) in
+      let classes = List.map (fun (p : Offline.Exact.phase) -> p.members) ref_.schedule_phases in
+      let q = Rational.of_float in
+      let jobs = Array.map (fun (j : Job.t) -> (q j.release, q j.deadline, q j.work)) inst.jobs in
+      List.for_all
+        (fun algo ->
+          match Replay_exact.run ~algo ~machines:inst.machines jobs classes with
+          | Some rounds -> rounds <= ref_.stats.rounds
+          | None -> false)
+        [ Replay_exact.Dinic; Edmonds_karp ])
+
+(* The production loop, on both substrates and both fields, certifies by
+   the closure: it reaches the reference's classes (so no victim belonged
+   to its phase's class) in no more rounds than the single-victim
+   reference. *)
+let prop_production_rounds =
+  QCheck.Test.make ~count:40 ~name:"production rounds <= reference rounds (float, exact; dense, compressed)"
+    QCheck.small_nat (fun seed ->
+      let inst = random_instance (seed + 1100) ~jobs:(4 + (seed mod 5)) in
+      let machines = inst.machines in
+      let members_f (r : Offline.F.run) =
+        List.map (fun (p : Offline.F.phase) -> p.members) r.schedule_phases
+      in
+      let members_q (r : Offline.Exact.run) =
+        List.map (fun (p : Offline.Exact.phase) -> p.members) r.schedule_phases
+      in
+      let ref_f = Offline.F.Reference.solve ~machines (float_jobs inst) in
+      let ref_q = Offline.Exact.Reference.solve ~machines (exact_jobs inst) in
+      List.for_all
+        (fun compress ->
+          let f = Offline.F.solve ~compress ~machines (float_jobs inst) in
+          let q = Offline.Exact.solve ~compress ~machines (exact_jobs inst) in
+          members_f f = members_f ref_f
+          && f.stats.rounds <= ref_f.stats.rounds
+          && members_q q = members_q ref_q
+          && q.stats.rounds <= ref_q.stats.rounds)
+        [ false; true ])
+
 let () =
   Alcotest.run "reference"
     [
@@ -205,4 +400,7 @@ let () =
           Alcotest.test_case "exact-rational replay" `Slow test_exact_agree;
           Alcotest.test_case "pipeline energy" `Quick test_pipeline_energy_agrees;
         ] );
+      ( "closure",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_closure_float; prop_closure_exact; prop_production_rounds ] );
     ]
